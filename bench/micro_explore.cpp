@@ -14,10 +14,11 @@
  *
  * It prints per-phase wall-clock (front end / lower / passes /
  * fingerprint / print / driver compile / measurement), the campaign
- * totals, the interpreter microbenchmark (slot-indexed engine vs the
- * map-based reference), the measurement/verify phase (scalar
- * per-probe interprets vs one batched 16-lane run per distinct
- * variant — see bench/micro_interp.cpp for the full width sweep), and
+ * totals, the interpreter microbenchmark (ir::interpret, a one-lane
+ * batched run, vs the map-based reference), the measurement/verify
+ * phase (per-probe ir::interpret calls vs one batched 16-lane run per
+ * distinct variant — see bench/micro_interp.cpp for the full width
+ * sweep), and
  * the registry-growth section: exploration
  * cost at N=8 vs N=11 (the full extra-pass catalog registered), where
  * the memoized flag tree must keep *executed* pass runs under 2x the
@@ -157,7 +158,7 @@ interpreterMicrobench()
         return best;
     };
 
-    double slot_ms = time_engine(
+    double one_lane_ms = time_engine(
         [&] { ir::interpret(*module, env); });
     double map_ms = time_engine(
         [&] { ir::interpretReference(*module, env); });
@@ -165,21 +166,24 @@ interpreterMicrobench()
     std::printf("Interpreter microbenchmark (uber/car_chase, %d runs, "
                 "best of 3):\n",
                 reps);
-    std::printf("  map-based reference : %8.2f ms  (%.1f us/run)\n",
+    std::printf("  map-based reference              : %8.2f ms  "
+                "(%.1f us/run)\n",
                 map_ms, map_ms * 1000.0 / reps);
-    std::printf("  slot-indexed engine : %8.2f ms  (%.1f us/run)\n",
-                slot_ms, slot_ms * 1000.0 / reps);
-    std::printf("  speedup             : %8.2fx  (target >= 5x)\n\n",
-                map_ms / slot_ms);
+    std::printf("  ir::interpret (one-lane batched) : %8.2f ms  "
+                "(%.1f us/run)\n",
+                one_lane_ms, one_lane_ms * 1000.0 / reps);
+    std::printf("  speedup                          : %8.2fx  "
+                "(target >= 5x)\n\n",
+                map_ms / one_lane_ms);
 }
 
 /**
  * The measurement/verify phase: functionally probing every distinct
  * optimised variant of every probe shader against 16 environments —
  * what the fuzz walk and the campaign's functional checks do in bulk.
- * Times the scalar way (16 ir::interpret calls per variant) against
- * one 16-lane batched run per variant over the same memoized flag-tree
- * walk.
+ * Times the one-fragment way (16 ir::interpret calls per variant)
+ * against one 16-lane batched run per variant over the same memoized
+ * flag-tree walk.
  */
 void
 verifyPhase(const std::vector<corpus::CorpusShader> &probe)

@@ -66,12 +66,11 @@ std::array<double, 4> defaultTexture(double u, double v, double lod);
  * component (the measurement framework's auto-initialisation rule);
  * missing samplers use defaultTexture.
  *
- * Implementation: SSA values live in a dense slot-indexed register file
- * (one slot per Instr::id, small-buffer lane storage — GLSL values are
- * at most 4 components, so the hot path never heap-allocates), and var
- * memory is a dense table indexed by Var::id. Modules whose ids did not
- * come from Module::nextId()/newVar (hand-assembled test IR) fall back
- * to the map-based reference engine automatically.
+ * Implementation: a one-lane run of the batched engine,
+ * `interpretBatch(module, BatchEnv::broadcast(env, 1)).laneResult(0)`
+ * (ir/interp_batch.h). Modules whose ids did not come from
+ * Module::nextId()/newVar (hand-assembled test IR) run on the map-based
+ * reference engine instead; results are identical either way.
  *
  * Throws std::runtime_error on malformed modules or runaway loops.
  */
@@ -79,9 +78,9 @@ InterpResult interpret(const Module &module, const InterpEnv &env);
 
 /**
  * The original map-based interpreter (`unordered_map<const Instr*,
- * LaneVector>` value storage). Kept as the golden reference: the
- * slot-indexed engine must produce bit-identical outputs, and the
- * equivalence test suite pins that.
+ * LaneVector>` value storage). Kept as the independent golden
+ * reference: every lane of the batched engine must produce bit-identical
+ * outputs, and the equivalence test suite pins that.
  */
 InterpResult interpretReference(const Module &module,
                                 const InterpEnv &env);
@@ -90,16 +89,15 @@ namespace detail {
 /**
  * True when dense slot indexing is valid for @p module: every Instr::id
  * unique and below idBound(), every referenced Var at vars[Var::id].
- * Shared by the slot engine's dispatch and the batched SoA engine
- * (ir/interp_batch.h), which both fall back to the map engine when it
- * fails.
+ * The batched SoA engine (ir/interp_batch.h) checks it once per module
+ * and falls back to the map engine when it fails.
  */
 bool denseIdsUsable(const Module &module);
 
 /**
  * The shared runaway-guard for generic (non-canonical) loops, used by
- * all three engines (map, slot, batched SoA) — one implementation
- * instead of per-engine copies. It enforces the legacy per-loop
+ * both engines (map and batched SoA) — one implementation instead of
+ * per-engine copies. It enforces the legacy per-loop
  * InterpEnv::maxLoopIterations trip cap (kept working as an alias of
  * the old hard-coded guards) and re-checks the governed wall-clock
  * deadline on every trip, so a slow loop cannot outrun

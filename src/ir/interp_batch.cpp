@@ -26,7 +26,7 @@ static_assert(kMaxBatchWidth <= 32, "Mask is uint32_t");
  * Raised for the rare module shapes the SoA layout cannot represent
  * (per-lane divergent variable resizes, whole-array LoadVar). The
  * runner catches it and re-executes the batch lane-by-lane on the
- * scalar engine, so callers never see it.
+ * map engine, so callers never see it.
  */
 struct BatchFallback : std::runtime_error
 {
@@ -781,7 +781,7 @@ class Engine
                         simd::broadcast<W>(d + c * W, 0.0);
                 }
             }
-            // int(x) truncates toward zero (see the scalar engines).
+            // int(x) truncates toward zero (see the map engine).
             if (i.type.isInt()) {
                 for (size_t c = 0; c < want; ++c)
                     simd::apply<W>(d + c * W, [](double a) {
@@ -842,7 +842,7 @@ class Engine
                 textures_[static_cast<size_t>(i.var->id)];
             double *d = define(i, 4);
             // Masked: a user texture callback must only observe the
-            // lanes the scalar engine would have sampled.
+            // lanes the map engine would have sampled.
             for (size_t l = 0; l < W; ++l) {
                 if (!((m >> l) & 1u))
                     continue;
@@ -973,9 +973,9 @@ class Engine
     std::vector<const TextureFn *> textures_;
 };
 
-/** Per-lane scalar execution assembled into a BatchResult — the
- * fallback for non-dense ids and BatchFallback shapes, and the shape
- * the equivalence tests compare against. */
+/** Per-lane execution on the map engine assembled into a BatchResult —
+ * the fallback for non-dense ids and BatchFallback shapes. It must not
+ * call ir::interpret, which is itself a one-lane batched run. */
 BatchResult
 runScalarLanes(const Module &module, const BatchEnv &env)
 {
@@ -985,7 +985,8 @@ runScalarLanes(const Module &module, const BatchEnv &env)
     result.laneExecuted.resize(env.width);
     std::map<std::string, size_t> comps;
     for (size_t l = 0; l < env.width; ++l) {
-        const InterpResult r = interpret(module, env.laneEnv(l));
+        const InterpResult r =
+            interpretReference(module, env.laneEnv(l));
         result.discarded[l] = r.discarded ? 1 : 0;
         result.laneExecuted[l] = r.executedInstructions;
         result.executedInstructions += r.executedInstructions;

@@ -135,25 +135,6 @@ tileVaryings(const glsl::ShaderInterface &iface)
     return out;
 }
 
-void
-accumulateFragment(TileResult &result, const ir::InterpResult &frag)
-{
-    ++result.fragments;
-    result.executedInstructions += frag.executedInstructions;
-    if (frag.discarded)
-        ++result.discardedFragments;
-    for (const auto &[name, lanes] : frag.outputs) {
-        ir::LaneVector &sum = result.outputSums[name];
-        if (sum.size() < lanes.size())
-            sum.resize(lanes.size(), 0.0);
-        for (size_t c = 0; c < lanes.size(); ++c) {
-            sum[c] += lanes[c];
-            if (!frag.discarded && !std::isfinite(lanes[c]))
-                result.allFinite = false;
-        }
-    }
-}
-
 } // namespace
 
 TileResult
@@ -177,25 +158,7 @@ interpretTile(const ir::Module &module,
             static_cast<double>(opts.height);
     };
 
-    if (opts.batchWidth == 0) {
-        // Scalar reference path: one interpret() per fragment, the
-        // environment built once and mutated in place per fragment.
-        ir::InterpEnv env = base;
-        for (size_t f = 0; f < total; ++f) {
-            double u, v;
-            fragUV(f, u, v);
-            for (const VaryingInput &in : varyings) {
-                ir::LaneVector &val = env.inputs[in.name];
-                val[0] = u;
-                if (in.comps > 1)
-                    val[1] = v;
-            }
-            accumulateFragment(result, ir::interpret(module, env));
-        }
-        return result;
-    }
-
-    const size_t W = opts.batchWidth;
+    const size_t W = std::max<size_t>(opts.batchWidth, 1);
     ir::BatchRunner runner(module, W);
     ir::BatchEnv benv = ir::BatchEnv::broadcast(base, W);
     for (size_t f0 = 0; f0 < total; f0 += W) {
@@ -215,9 +178,9 @@ interpretTile(const ir::Module &module,
         const ir::BatchResult batch = runner.run(benv);
         // Accumulate straight from the SoA strips — reshaping every
         // lane into a scalar InterpResult would allocate a map per
-        // fragment and dominate the batched path's runtime. Per
-        // (output, component) the sum still accumulates in row-major
-        // fragment order, so it stays bit-identical to the scalar path.
+        // fragment and dominate the runtime. Per (output, component)
+        // the sum accumulates in row-major fragment order, so it is
+        // bit-identical for every batch width.
         for (size_t l = 0; l < lanes; ++l) {
             ++result.fragments;
             result.executedInstructions += batch.laneExecuted[l];

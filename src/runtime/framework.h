@@ -75,10 +75,9 @@ const ir::InterpEnv &
 defaultEnvironmentCached(const glsl::ShaderInterface &iface);
 
 /**
- * Options for interpretTile: tile geometry and engine selection.
- * batchWidth 0 selects the scalar reference path (one ir::interpret
- * per fragment); any other value runs the batched SIMT engine with
- * that many lanes per batch. Both paths produce bit-identical results.
+ * Options for interpretTile: tile geometry and lanes per batch of the
+ * batched SIMT engine. batchWidth 0 is accepted and runs one lane per
+ * batch, like 1. Every width produces bit-identical results.
  */
 struct TileOptions
 {
@@ -88,8 +87,9 @@ struct TileOptions
 };
 
 /** Aggregate result of shading one tile. Sums are accumulated in
- * row-major fragment order on both engine paths, so they are
- * bit-comparable between scalar and batched runs. */
+ * row-major fragment order at every batch width, so they are
+ * bit-comparable across widths and against a per-fragment
+ * ir::interpretReference loop. */
 struct TileResult
 {
     size_t fragments = 0;

@@ -104,7 +104,7 @@ map3(double *GSOPT_RESTRICT d, const double *a, const double *b,
 
 /** acc[l] += a[l] * b[l] (the dot/length accumulation step; kept as a
  * separate helper so the summation order per lane exactly matches the
- * scalar engine's component-by-component loop). */
+ * map engine's component-by-component loop). */
 template <size_t W>
 inline void
 mulAccum(double *GSOPT_RESTRICT acc, const double *a, const double *b)

@@ -7,8 +7,9 @@
  *  - a clone is storage-independent and outlives its source module;
  *  - unlinking instructions never invalidates other references
  *    (addresses are stable until the module dies);
- *  - the slot-indexed interpreter and the verifier behave identically
- *    over arena-backed IR (bit-identical to interpretReference);
+ *  - ir::interpret (a one-lane batched run) and the verifier behave
+ *    identically over arena-backed IR (bit-identical to
+ *    interpretReference);
  *  - the allocator itself: bump allocation, chunk growth, accounting,
  *    and the InlineVec fixed-capacity surface.
  */

@@ -20,6 +20,7 @@
 #include "ir/interp.h"
 #include "ir/walk.h"
 #include "lower/lower.h"
+#include "reference_tile.h"
 #include "runtime/framework.h"
 
 namespace gsopt::corpus {
@@ -81,8 +82,9 @@ TEST_P(CorpusEach, CompilesLowersExecutes)
 TEST_P(CorpusEach, TileExecutionBatchedMatchesScalar)
 {
     // The bulk functional check: an 8x6 tile sweeps the shader's
-    // varyings across the unit square, once per fragment on the scalar
-    // engine and once through the batched SIMT engine. Everything the
+    // varyings across the unit square, once per fragment on the
+    // map-based reference engine and once through the batched SIMT
+    // engine at each width (0 runs one lane per batch). Everything the
     // tile aggregates — fragment/discard counts, the dynamic
     // instruction total, and row-major per-component output sums —
     // must match bit-for-bit.
@@ -90,16 +92,14 @@ TEST_P(CorpusEach, TileExecutionBatchedMatchesScalar)
     glsl::CompiledShader cs = glsl::compileShader(s.source, s.defines);
     auto module = lower::lowerShader(cs);
 
-    runtime::TileOptions scalarOpts;
-    scalarOpts.width = 8;
-    scalarOpts.height = 6;
-    scalarOpts.batchWidth = 0; // scalar reference path
     const runtime::TileResult want =
-        runtime::interpretTile(*module, cs.interface, scalarOpts);
+        testutil::referenceTile(*module, cs.interface, 8, 6);
     EXPECT_EQ(want.fragments, 48u) << s.name;
 
-    for (size_t w : {size_t{8}, size_t{16}}) {
-        runtime::TileOptions opts = scalarOpts;
+    for (size_t w : {size_t{0}, size_t{8}, size_t{16}}) {
+        runtime::TileOptions opts;
+        opts.width = 8;
+        opts.height = 6;
         opts.batchWidth = w;
         const runtime::TileResult got =
             runtime::interpretTile(*module, cs.interface, opts);

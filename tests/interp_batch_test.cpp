@@ -1,10 +1,11 @@
 /**
  * @file
  * Batched SIMT interpreter tests: per-lane bit-identity against the
- * scalar engines under heavy divergence (nested ifs, discards at
- * different mask depths, non-uniform loop trip counts), the per-lane
- * executed-instruction semantics, width rounding and fallback paths,
- * the tile entry point, and the cached default-environment regression.
+ * map-based reference engine under heavy divergence (nested ifs,
+ * discards at different mask depths, non-uniform loop trip counts), the
+ * per-lane executed-instruction semantics, width rounding and fallback
+ * paths, the tile entry point, and the cached default-environment
+ * regression.
  */
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "ir/interp.h"
 #include "ir/interp_batch.h"
 #include "lower/lower.h"
+#include "reference_tile.h"
 #include "runtime/framework.h"
 
 namespace gsopt {
@@ -90,27 +92,34 @@ spreadEnv(size_t width)
 }
 
 void
+expectResultIdentical(const ir::InterpResult &got,
+                      const ir::InterpResult &want)
+{
+    ASSERT_EQ(got.discarded, want.discarded);
+    ASSERT_EQ(got.executedInstructions, want.executedInstructions);
+    ASSERT_EQ(got.outputs.size(), want.outputs.size());
+    for (const auto &[name, lanes] : want.outputs) {
+        const auto &g = got.outputs.at(name);
+        ASSERT_EQ(g.size(), lanes.size()) << name;
+        for (size_t c = 0; c < lanes.size(); ++c) {
+            // EXPECT_EQ on doubles is exact: bit-identity, not
+            // tolerance.
+            EXPECT_EQ(g[c], lanes[c]) << name << "[" << c << "]";
+        }
+    }
+}
+
+/** Every lane of @p batch against the map-based reference engine run on
+ * that lane's scalar environment. */
+void
 expectLaneIdentical(const ir::BatchResult &batch,
                     const ir::Module &module, const ir::BatchEnv &env)
 {
     for (size_t l = 0; l < env.width; ++l) {
         SCOPED_TRACE("lane " + std::to_string(l));
-        const ir::InterpResult want =
-            ir::interpret(module, env.laneEnv(l));
-        const ir::InterpResult got = batch.laneResult(l);
-        ASSERT_EQ(got.discarded, want.discarded);
-        ASSERT_EQ(got.executedInstructions, want.executedInstructions);
-        ASSERT_EQ(got.outputs.size(), want.outputs.size());
-        for (const auto &[name, lanes] : want.outputs) {
-            const auto &g = got.outputs.at(name);
-            ASSERT_EQ(g.size(), lanes.size()) << name;
-            for (size_t c = 0; c < lanes.size(); ++c) {
-                // EXPECT_EQ on doubles is exact: bit-identity, not
-                // tolerance.
-                EXPECT_EQ(g[c], lanes[c])
-                    << name << "[" << c << "]";
-            }
-        }
+        expectResultIdentical(
+            batch.laneResult(l),
+            ir::interpretReference(module, env.laneEnv(l)));
     }
 }
 
@@ -156,7 +165,8 @@ TEST(InterpBatch, ExecutedCountIsPerLaneSummed)
     const ir::BatchResult batch = ir::interpretBatch(*module, env);
 
     const size_t scalar =
-        ir::interpret(*module, env.laneEnv(0)).executedInstructions;
+        ir::interpretReference(*module, env.laneEnv(0))
+            .executedInstructions;
     EXPECT_EQ(batch.executedInstructions, 8 * scalar);
     size_t sum = 0;
     for (size_t l = 0; l < 8; ++l) {
@@ -169,7 +179,7 @@ TEST(InterpBatch, ExecutedCountIsPerLaneSummed)
 TEST(InterpBatch, MaskedLanesDoNotCount)
 {
     // A lane that discards early stops counting exactly where the
-    // scalar engine stops executing; live lanes are unaffected.
+    // map engine stops executing; live lanes are unaffected.
     auto module = emit::compileToIr(R"(#version 450
 in float x;
 out vec4 c;
@@ -216,7 +226,7 @@ TEST(InterpBatch, EverySupportedWidthMatches)
 TEST(InterpBatch, NonDenseIdsFallBackToScalar)
 {
     // Hand-assembled module whose ids are deliberately not dense: the
-    // runner must report fallback and still match the scalar engine.
+    // runner must report fallback and still match the map engine.
     ir::Module m;
     ir::Var *in = m.newVar("x", glsl::Type::floatTy(),
                            ir::VarKind::Input);
@@ -234,6 +244,93 @@ TEST(InterpBatch, NonDenseIdsFallBackToScalar)
     for (size_t l = 0; l < 4; ++l)
         env.setLaneInput("x", l, {0.25 * static_cast<double>(l + 1)});
     expectLaneIdentical(runner.run(env), m, env);
+}
+
+/** Dense-id modules whose shapes the SoA layout cannot hold: the
+ * runner reports batched() yet must re-run every batch lane by lane on
+ * the map engine, at every width and through ir::interpret. */
+void
+expectFallbackMatchesReference(const ir::Module &m, const char *input,
+                               size_t comps)
+{
+    EXPECT_TRUE(ir::BatchRunner(m, 16).batched());
+    for (size_t w : {1u, 16u}) {
+        SCOPED_TRACE("width " + std::to_string(w));
+        ir::BatchEnv env;
+        env.width = w;
+        for (size_t l = 0; l < w; ++l) {
+            // A lone lane sits where the unrepresentable store runs.
+            const double pos = w == 1 ? 12.0 : static_cast<double>(l);
+            ir::LaneVector v(comps);
+            for (size_t c = 0; c < comps; ++c)
+                v[c] = pos / 16.0 + 0.125 * static_cast<double>(c);
+            env.setLaneInput(input, l, v);
+        }
+        const ir::BatchResult batch = ir::interpretBatch(m, env);
+        expectLaneIdentical(batch, m, env);
+        for (size_t l = 0; l < w; ++l) {
+            SCOPED_TRACE("interpret lane " + std::to_string(l));
+            const ir::InterpEnv lane = env.laneEnv(l);
+            expectResultIdentical(ir::interpret(m, lane),
+                                  ir::interpretReference(m, lane));
+        }
+        if (w == 16) {
+            // Both sides of the divergent branch are exercised.
+            size_t discards = 0;
+            for (size_t l = 0; l < w; ++l)
+                discards += batch.discarded[l];
+            EXPECT_GT(discards, 0u);
+            EXPECT_LT(discards, w);
+        }
+    }
+}
+
+TEST(InterpBatch, WholeArrayLoadFallsBackToMapEngine)
+{
+    // `t = a` copies all 8 components of a float[8] in one LoadVar,
+    // wider than a register strip; lanes with a[0] < 0.5 discard first.
+    ir::Module m;
+    const glsl::Type arr = glsl::Type::floatTy().array(8);
+    ir::Var *a = m.newVar("a", arr, ir::VarKind::Input);
+    ir::Var *t = m.newVar("t", arr, ir::VarKind::Local);
+    ir::Var *o = m.newVar("o", arr, ir::VarKind::Output);
+    ir::IrBuilder b(m);
+    ir::Instr *a0 = b.loadElem(a, b.constInt(0));
+    ir::IfNode *ifn =
+        b.createIf(b.binary(ir::Opcode::Lt, a0, b.constFloat(0.5)));
+    b.pushRegion(&ifn->thenRegion);
+    b.emit(ir::Opcode::Discard, glsl::Type::voidTy());
+    b.popRegion();
+    b.store(t, b.load(a));
+    b.store(o, b.load(t));
+    expectFallbackMatchesReference(m, "a", 8);
+}
+
+TEST(InterpBatch, DivergentResizeFallsBackToMapEngine)
+{
+    // A store of a vec2 into a float var, taken by only some lanes:
+    // the SoA layout keeps one size per var, so the batch cannot hold
+    // it. Lanes with x < 0.25 discard afterwards.
+    ir::Module m;
+    ir::Var *x = m.newVar("x", glsl::Type::floatTy(), ir::VarKind::Input);
+    ir::Var *t = m.newVar("t", glsl::Type::floatTy(), ir::VarKind::Local);
+    ir::Var *o = m.newVar("o", glsl::Type::floatTy(), ir::VarKind::Output);
+    ir::IrBuilder b(m);
+    ir::Instr *xv = b.load(x);
+    ir::IfNode *wide =
+        b.createIf(b.binary(ir::Opcode::Gt, xv, b.constFloat(0.5)));
+    b.pushRegion(&wide->thenRegion);
+    b.store(t, b.construct(glsl::Type::vec(2),
+                           {xv, b.binary(ir::Opcode::Mul, xv,
+                                         b.constFloat(2.0))}));
+    b.popRegion();
+    ir::IfNode *drop =
+        b.createIf(b.binary(ir::Opcode::Lt, xv, b.constFloat(0.25)));
+    b.pushRegion(&drop->thenRegion);
+    b.emit(ir::Opcode::Discard, glsl::Type::voidTy());
+    b.popRegion();
+    b.store(o, b.extract(b.load(t), 0));
+    expectFallbackMatchesReference(m, "x", 1);
 }
 
 TEST(InterpBatch, BroadcastAndLaneEnvRoundTrip)
@@ -291,16 +388,15 @@ TEST(InterpBatch, TileBatchedMatchesScalarTile)
     glsl::CompiledShader cs = glsl::compileShader(kTorture, {});
     auto module = lower::lowerShader(cs);
 
-    runtime::TileOptions scalarOpts;
-    scalarOpts.width = 12;
-    scalarOpts.height = 9;
-    scalarOpts.batchWidth = 0; // scalar reference path
     const runtime::TileResult want =
-        runtime::interpretTile(*module, cs.interface, scalarOpts);
+        testutil::referenceTile(*module, cs.interface, 12, 9);
 
-    for (size_t w : {1u, 8u, 16u}) {
+    // batchWidth 0 is accepted and runs one lane per batch.
+    for (size_t w : {0u, 1u, 8u, 16u}) {
         SCOPED_TRACE("batchWidth " + std::to_string(w));
-        runtime::TileOptions opts = scalarOpts;
+        runtime::TileOptions opts;
+        opts.width = 12;
+        opts.height = 9;
         opts.batchWidth = w;
         const runtime::TileResult got =
             runtime::interpretTile(*module, cs.interface, opts);

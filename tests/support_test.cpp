@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/diag.h"
@@ -214,6 +216,9 @@ TEST(ParallelFor, ThreadedErrorAbandonsTheQueue)
 {
     // Any worker's failure must stop the others from claiming more
     // work. With an early item throwing, far fewer than `items` run.
+    // The other items take 100 us each, so draining the whole queue
+    // would take ~0.3 s: far longer than a descheduled worker needs to
+    // reach item 0, which keeps the result independent of host load.
     constexpr size_t items = 10000;
     std::atomic<size_t> executed{0};
     EXPECT_THROW(parallelFor(items, 4,
@@ -221,6 +226,8 @@ TEST(ParallelFor, ThreadedErrorAbandonsTheQueue)
                                  executed.fetch_add(1);
                                  if (i == 0)
                                      throw std::runtime_error("boom");
+                                 std::this_thread::sleep_for(
+                                     std::chrono::microseconds(100));
                              }),
                  std::runtime_error);
     EXPECT_LT(executed.load(), items);
