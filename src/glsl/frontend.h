@@ -29,9 +29,8 @@ struct CompiledShader
 
 /**
  * Run the complete front end. Throws CompileError on any diagnostic of
- * error severity; warnings on a successful compile are delivered
- * through the support/diag warning sink (setWarningSink), never
- * silently dropped.
+ * error severity; warnings on a successful compile are printed
+ * through support/diag's warn(), never silently dropped.
  *
  * Both entry points are governed admission points: when ambient
  * resource caps are configured (GSOPT_DEADLINE_MS / GSOPT_BUDGET_*, or

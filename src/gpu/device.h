@@ -30,6 +30,7 @@
 #ifndef GSOPT_GPU_DEVICE_H
 #define GSOPT_GPU_DEVICE_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,16 @@ const DeviceModel &deviceModel(DeviceId id);
 
 /** Short vendor tag ("NVIDIA", "ARM", ...) used in tables. */
 const char *deviceVendor(DeviceId id);
+
+/**
+ * Exact-bit hash of every parameter of one device model: each double
+ * is hashed through its IEEE-754 bit pattern (not decimal formatting),
+ * so a 1-ulp parameter change changes the key. Keys both the driver's
+ * binary cache and the campaign's shard cache (over-keying the driver
+ * with the measurement fields only costs a distinct entry; under-
+ * keying would let tweaked ablation models alias stock ones).
+ */
+uint64_t deviceModelKey(const DeviceModel &device);
 
 } // namespace gsopt::gpu
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <list>
 #include <mutex>
 #include <shared_mutex>
@@ -13,42 +12,12 @@
 #include "passes/passes.h"
 #include "support/fault.h"
 #include "support/rng.h"
+#include "support/strings.h"
 #include "support/time.h"
 
 namespace gsopt::gpu {
 
 namespace {
-
-/** Hash every device parameter that can influence the compiled binary
- * or its cost accounting. Over-keying is harmless (a distinct entry);
- * under-keying would let tweaked ablation models alias stock ones. */
-uint64_t
-deviceConfigHash(const DeviceModel &d)
-{
-    auto mixDouble = [](uint64_t h, double v) {
-        uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        return hashCombine(h, bits);
-    };
-    uint64_t h = fnv1a(d.name);
-    h = hashCombine(h, static_cast<uint64_t>(d.id));
-    h = hashCombine(h, static_cast<uint64_t>(d.isa));
-    for (double v :
-         {d.clockGhz, static_cast<double>(d.shaderUnits),
-          d.baseOverheadCycles, d.costAddMul, d.costDiv, d.costSqrt,
-          d.costTranscendental, d.costMov, d.costBranch,
-          d.divergencePenalty, d.texIssueCost, d.texLatency,
-          d.wavesToHideTex, d.regBudget, d.spillThreshold, d.spillCost,
-          d.maxWaves, d.icacheInstrs, d.icachePenalty, d.slpEfficiency})
-        h = mixDouble(h, v);
-    h = hashCombine(h, d.jitFlags.mask());
-    h = hashCombine(h, static_cast<uint64_t>(d.jitUnrollTrips));
-    h = hashCombine(h, d.jitUnrollInstrs);
-    h = hashCombine(h, d.jitHoistArmInstrs);
-    h = hashCombine(h, d.schedulerWindow);
-    return h;
-}
 
 /** One cached binary plus its position in the LRU order list. */
 struct CacheEntry
@@ -68,11 +37,8 @@ std::atomic<uint64_t> cacheEvictions{0};
 
 /** Max entries, 0 = unbounded (the historical default). Seeded from
  * GSOPT_DRIVER_CACHE_CAP once at start-up; setDriverCacheCap after. */
-std::atomic<size_t> cacheCap{[] {
-    const char *env = std::getenv("GSOPT_DRIVER_CACHE_CAP");
-    return env ? static_cast<size_t>(std::strtoull(env, nullptr, 10))
-               : size_t{0};
-}()};
+std::atomic<size_t> cacheCap{
+    static_cast<size_t>(envUint("GSOPT_DRIVER_CACHE_CAP", 0))};
 
 /** Evict LRU entries beyond the cap. Caller holds cacheMutex unique. */
 void
@@ -129,7 +95,7 @@ ShaderBinary
 driverCompile(const std::string &glslSource, const DeviceModel &device)
 {
     const uint64_t key =
-        hashCombine(fnv1a(glslSource), deviceConfigHash(device));
+        hashCombine(fnv1a(glslSource), deviceModelKey(device));
     if (cacheCap.load(std::memory_order_relaxed) == 0) {
         // Unbounded (default): lock-shared read path, no recency
         // maintenance needed — nothing is ever evicted.

@@ -76,7 +76,8 @@ DriverCacheStats driverCacheStats();
  * behaviour). A campaign never needs a cap — it tops out at a few
  * hundred unique texts x 5 devices — but a long-lived tuner daemon
  * serving open-ended traffic does; this is its pressure valve (ROADMAP
- * daemon item). Also settable at start-up via GSOPT_DRIVER_CACHE_CAP.
+ * daemon item). Also settable at start-up via GSOPT_DRIVER_CACHE_CAP
+ * (a malformed value aborts).
  * Shrinking below the current entry count evicts immediately.
  * Thread-safe.
  */

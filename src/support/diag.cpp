@@ -1,26 +1,9 @@
 #include "support/diag.h"
 
 #include <cstdio>
-#include <memory>
-#include <mutex>
 #include <sstream>
 
 namespace gsopt {
-
-namespace {
-
-std::mutex gWarningSinkMutex;
-std::shared_ptr<const std::function<void(const Diagnostic &)>>
-    gWarningSink;
-
-std::shared_ptr<const std::function<void(const Diagnostic &)>>
-currentWarningSink()
-{
-    std::lock_guard lock(gWarningSinkMutex);
-    return gWarningSink;
-}
-
-} // namespace
 
 std::string
 SourceLoc::str() const
@@ -82,29 +65,17 @@ DiagEngine::checkpoint() const
 void
 DiagEngine::reportWarnings() const
 {
-    if (warningCount_ == 0)
-        return;
-    const auto sink = currentWarningSink();
     for (const Diagnostic &d : diags_) {
-        if (d.severity != Severity::Warning)
-            continue;
-        if (sink && *sink)
-            (*sink)(d);
-        else
-            std::fprintf(stderr, "%s\n", d.str().c_str());
+        if (d.severity == Severity::Warning)
+            warn(d.message, d.loc);
     }
 }
 
 void
-setWarningSink(std::function<void(const Diagnostic &)> sink)
+warn(std::string message, SourceLoc loc)
 {
-    std::lock_guard lock(gWarningSinkMutex);
-    if (sink)
-        gWarningSink = std::make_shared<
-            const std::function<void(const Diagnostic &)>>(
-            std::move(sink));
-    else
-        gWarningSink = nullptr;
+    const Diagnostic d{Severity::Warning, loc, std::move(message)};
+    std::fprintf(stderr, "%s\n", d.str().c_str());
 }
 
 std::string

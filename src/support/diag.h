@@ -7,7 +7,6 @@
 #ifndef GSOPT_SUPPORT_DIAG_H
 #define GSOPT_SUPPORT_DIAG_H
 
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -75,10 +74,10 @@ class DiagEngine
     void checkpoint() const;
 
     /**
-     * Deliver every warning to the process-wide warning sink (see
-     * setWarningSink). Entry points whose success contract only checks
-     * hasErrors() — compileShader and everything above it — call this
-     * so warnings are never silently dropped. No-op without warnings.
+     * Print every warning through warn(). Entry points whose success
+     * contract only checks hasErrors() — compileShader and everything
+     * above it — call this so warnings are never silently dropped.
+     * No-op without warnings.
      */
     void reportWarnings() const;
 
@@ -92,12 +91,10 @@ class DiagEngine
 };
 
 /**
- * Re-point where DiagEngine::reportWarnings delivers warnings. The
- * default sink prints Diagnostic::str() to stderr; a long-running
- * service (the ROADMAP's tuner daemon) re-points it at its response or
- * log channel. Pass nullptr to restore the default. Thread-safe.
+ * The one warning path: print a Warning-severity Diagnostic::str() as
+ * one line on stderr ("[line:col: ]warning: message").
  */
-void setWarningSink(std::function<void(const Diagnostic &)> sink);
+void warn(std::string message, SourceLoc loc = {});
 
 } // namespace gsopt
 

@@ -121,12 +121,18 @@ class FrameDecoder
 
 // ---- payload packing ----------------------------------------------------
 // Minimal byte packing for frame payloads (little-endian PODs +
-// length-prefixed strings), mirroring the shard serialisation idiom.
+// length-prefixed strings) — also the shard file encoding of
+// tuner/experiment.h, so checkpoint bytes and wire bytes are one codec.
 
 /** Append-only payload builder. */
 class Pack
 {
   public:
+    template <typename T> Pack &pod(T v)
+    {
+        bytes_.append(reinterpret_cast<const char *>(&v), sizeof(v));
+        return *this;
+    }
     Pack &u32(uint32_t v) { return pod(v); }
     Pack &u64(uint64_t v) { return pod(v); }
     Pack &str(std::string_view s)
@@ -139,11 +145,6 @@ class Pack
     std::string take() { return std::move(bytes_); }
 
   private:
-    template <typename T> Pack &pod(T v)
-    {
-        bytes_.append(reinterpret_cast<const char *>(&v), sizeof(v));
-        return *this;
-    }
     std::string bytes_;
 };
 
@@ -155,6 +156,14 @@ class Unpack
   public:
     explicit Unpack(std::string_view bytes) : bytes_(bytes) {}
 
+    template <typename T> bool pod(T &v)
+    {
+        if (sizeof(T) > bytes_.size() - pos_)
+            return false;
+        std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
+        pos_ += sizeof(T);
+        return true;
+    }
     bool u32(uint32_t &v) { return pod(v); }
     bool u64(uint64_t &v) { return pod(v); }
     bool str(std::string &s)
@@ -170,14 +179,6 @@ class Unpack
     bool done() const { return pos_ == bytes_.size(); }
 
   private:
-    template <typename T> bool pod(T &v)
-    {
-        if (sizeof(T) > bytes_.size() - pos_)
-            return false;
-        std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
-        pos_ += sizeof(T);
-        return true;
-    }
     std::string_view bytes_;
     size_t pos_ = 0;
 };

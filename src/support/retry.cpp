@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "support/rng.h"
+#include "support/strings.h"
 
 namespace gsopt {
 
@@ -19,11 +19,8 @@ defaultRetryPolicy()
 {
     static const RetryPolicy policy = [] {
         RetryPolicy p;
-        if (const char *env = std::getenv("GSOPT_RETRY_ATTEMPTS")) {
-            const long n = std::strtol(env, nullptr, 10);
-            if (n >= 1)
-                p.maxAttempts = static_cast<int>(n);
-        }
+        p.maxAttempts = static_cast<int>(
+            envUint("GSOPT_RETRY_ATTEMPTS", p.maxAttempts, 1));
         return p;
     }();
     return policy;

@@ -1,6 +1,7 @@
 #include "support/strings.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +9,24 @@
 #include <sstream>
 
 namespace gsopt {
+
+uint64_t
+envUint(const char *name, uint64_t fallback, uint64_t min)
+{
+    const char *env = std::getenv(name);
+    if (!env || !*env)
+        return fallback;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(env, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*env)) || *end != '\0' ||
+        errno == ERANGE || v < min) {
+        std::fprintf(stderr, "%s: '%s' is not an integer >= %llu\n", name,
+                     env, static_cast<unsigned long long>(min));
+        std::abort();
+    }
+    return v;
+}
 
 std::string_view
 trim(std::string_view s)

@@ -6,6 +6,7 @@
 #define GSOPT_SUPPORT_STRINGS_H
 
 #include <charconv>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -90,6 +91,14 @@ bool endsWith(std::string_view s, std::string_view suffix);
 /** Replace every occurrence of @p from with @p to. */
 std::string replaceAll(std::string s, std::string_view from,
                        std::string_view to);
+
+/**
+ * Read the integer env knob @p name: @p fallback when it is unset or
+ * empty. Anything other than a decimal integer >= @p min aborts with a
+ * message naming the variable — a silently dropped knob would let a CI
+ * leg configured through it prove nothing.
+ */
+uint64_t envUint(const char *name, uint64_t fallback, uint64_t min = 0);
 
 /**
  * Format a double the way GLSL source should carry it: shortest form that

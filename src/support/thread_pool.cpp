@@ -1,22 +1,20 @@
 #include "support/thread_pool.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "support/strings.h"
 
 namespace gsopt {
 
 unsigned
 defaultThreadCount()
 {
-    if (const char *env = std::getenv("GSOPT_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-    }
+    if (const uint64_t n = envUint("GSOPT_THREADS", 0))
+        return static_cast<unsigned>(n);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

@@ -15,8 +15,9 @@ namespace gsopt {
 
 /**
  * Worker count for parallel sections: GSOPT_THREADS if set to a
- * positive integer, otherwise std::thread::hardware_concurrency()
- * (minimum 1).
+ * positive integer, otherwise (unset, empty or 0)
+ * std::thread::hardware_concurrency() (minimum 1). A malformed value
+ * aborts naming the variable (support/strings.h envUint).
  */
 unsigned defaultThreadCount();
 

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
@@ -27,6 +26,7 @@
 #include "support/governor.h"
 #include "support/ipc.h"
 #include "support/rng.h"
+#include "support/strings.h"
 #include "support/time.h"
 
 extern char **environ;
@@ -81,54 +81,16 @@ decodeUnit(std::string_view payload, WireUnit &u)
 
 // ---- knobs --------------------------------------------------------------
 
-[[noreturn]] void
-badKnob(const char *name, const char *value)
-{
-    std::fprintf(stderr, "%s: '%s' is not a positive integer\n", name,
-                 value);
-    std::abort();
-}
-
-uint64_t
-envPositive(const char *name, uint64_t fallback)
-{
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || v == 0)
-        badKnob(name, env);
-    return v;
-}
-
 unsigned
 defaultWorkerCount()
 {
-    return static_cast<unsigned>(
-        envPositive("GSOPT_DISTRIB_WORKERS", 2));
+    return static_cast<unsigned>(envUint("GSOPT_DISTRIB_WORKERS", 2, 1));
 }
 
 uint64_t
 defaultLeaseMs()
 {
-    return envPositive("GSOPT_LEASE_MS", 30000);
-}
-
-bool
-strictMode()
-{
-    const char *env = std::getenv("GSOPT_STRICT");
-    return env && *env && *env != '0';
-}
-
-void
-warnDistrib(const std::string &what)
-{
-    Diagnostic d;
-    d.severity = Severity::Warning;
-    d.message = "distrib: " + what;
-    std::fprintf(stderr, "%s\n", d.str().c_str());
+    return envUint("GSOPT_LEASE_MS", 30000, 1);
 }
 
 // ---- in-process transport ----------------------------------------------
@@ -846,12 +808,7 @@ executeUnit(const corpus::CorpusShader &shader, uint64_t key,
             why += ": " + engine.health().quarantined.front().error;
         throw std::runtime_error(why);
     }
-    const std::string body = serializeShardBody(engine.results().front());
-    ipc::Pack file;
-    file.u64(key).u64(fnv1a(body));
-    std::string bytes = file.take();
-    bytes += body;
-    return bytes;
+    return shardFileBytes(key, engine.results().front());
 }
 
 std::string
@@ -937,14 +894,12 @@ CampaignCoordinator::run(WorkerTransport &transport)
     // ---- enumerate units; resume over surviving shards ------------
     const uint64_t setKey = deviceSetKey();
     std::vector<Unit> units;
-    std::set<std::string> livePaths;
     for (size_t i = 0; i < shaders_.size(); ++i) {
         health_.unitsTotal++;
         Unit u;
         u.shaderIndex = i;
         u.key = shardKey(shaders_[i], setKey);
         u.path = shardDir_ + "/" + shardFileName(shaders_[i], u.key);
-        livePaths.insert(u.path);
         ShaderResult existing;
         if (ExperimentEngine::loadShard(u.path, u.key, existing)) {
             health_.unitsFromCache++;
@@ -955,15 +910,7 @@ CampaignCoordinator::run(WorkerTransport &transport)
 
     // Retire shards no current unit claims (stale keys, dropped
     // shaders) so the merged directory equals a fresh campaign's.
-    for (const auto &entry : fs::directory_iterator(shardDir_, ec)) {
-        const std::string name = entry.path().filename().string();
-        std::string claimed = shardDir_ + "/" + name;
-        if (name.size() > 4 &&
-            name.compare(name.size() - 4, 4, ".tmp") == 0)
-            claimed = claimed.substr(0, claimed.size() - 4);
-        if (!livePaths.count(claimed))
-            fs::remove(entry.path(), ec);
-    }
+    sweepShardDir(shardDir_, shaders_, setKey);
 
     // ---- schedule: family representatives first --------------------
     // Measuring one member of each übershader family before the tail
@@ -997,42 +944,20 @@ CampaignCoordinator::run(WorkerTransport &transport)
                            const std::string &bytes) -> Merge {
         if (fs::exists(u.path))
             return Merge::Duplicate; // copy only if the key is absent
-        const std::string tmp = u.path + ".tmp";
-        // Publish with the engine's tmp+rename protocol; injected
-        // shard.write tears are local write failures (retry the
-        // write), not delivery corruption.
-        bool written = false;
-        for (int attempt = 0; attempt < 3 && !written; ++attempt) {
-            std::ofstream file(tmp,
-                               std::ios::binary | std::ios::trunc);
-            if (!file)
-                continue;
-            const size_t n =
-                fault::tearPoint("shard.write", bytes.size());
-            file.write(bytes.data(),
-                       static_cast<std::streamsize>(n));
-            file.flush();
-            written = n == bytes.size() && bool(file);
-        }
-        if (!written) {
-            fs::remove(tmp, ec);
-            return Merge::Invalid;
-        }
-        // Verification gate: checksum + key + structural validation
-        // through the exact loader every consumer uses. Nothing a
-        // worker sent is trusted until it parses.
+        // Verification gate: key, checksum and structure through the
+        // loader's own parser, before anything touches the directory.
+        // Nothing a worker sent is trusted until it parses.
         ShaderResult parsed;
-        if (!ExperimentEngine::loadShard(tmp, u.key, parsed)) {
-            fs::remove(tmp, ec);
+        if (!parseShardFile(bytes, u.key, parsed, u.path))
             return Merge::Invalid;
+        // Injected shard.write tears are local write failures: retry
+        // the publish, and leave no abandoned .tmp behind.
+        for (int attempt = 0; attempt < 3; ++attempt) {
+            if (publishShardFile(u.path, bytes).empty())
+                return Merge::Published;
         }
-        std::error_code rename_ec;
-        fs::rename(tmp, u.path, rename_ec);
-        if (rename_ec) {
-            fs::remove(tmp, ec);
-            return Merge::Invalid;
-        }
-        return Merge::Published;
+        fs::remove(u.path + ".tmp", ec);
+        return Merge::Invalid;
     };
 
     auto requeue_or_quarantine = [&](size_t ui,
@@ -1048,9 +973,8 @@ CampaignCoordinator::run(WorkerTransport &transport)
         q.error = err;
         q.assignments = u.assignments;
         u.done = true; // retired; a late valid delivery still merges
-        warnDistrib("quarantined unit " + q.shader + " after " +
-                    std::to_string(q.assignments) +
-                    " assignment(s): " + err);
+        warn("distrib: quarantined unit " + q.shader + " after " +
+             std::to_string(q.assignments) + " assignment(s): " + err);
         health_.quarantined.push_back(std::move(q));
         if (strict)
             throw std::runtime_error(
@@ -1166,10 +1090,9 @@ CampaignCoordinator::run(WorkerTransport &transport)
                     break;
                 case Merge::Invalid:
                     health_.shardsRejected++;
-                    warnDistrib(
-                        "rejected shard for '" +
-                        shaders_[u.shaderIndex].name +
-                        "' (checksum/structural validation failed)");
+                    warn("distrib: rejected shard for '" +
+                         shaders_[u.shaderIndex].name +
+                         "' (checksum/structural validation failed)");
                     requeue_or_quarantine(
                         ev.unit, "delivered shard failed validation");
                     break;
@@ -1226,10 +1149,9 @@ CampaignCoordinator::run(WorkerTransport &transport)
             const unsigned w = it->first;
             const size_t ui = it->second.unit;
             health_.leaseExpiries++;
-            warnDistrib("lease expired for unit '" +
-                        shaders_[units[ui].shaderIndex].name +
-                        "' on worker " + std::to_string(w) +
-                        "; reaping");
+            warn("distrib: lease expired for unit '" +
+                 shaders_[units[ui].shaderIndex].name + "' on worker " +
+                 std::to_string(w) + "; reaping");
             transport.reap(w);
             it = outstanding.erase(it);
             if (!units[ui].done)

@@ -13,19 +13,18 @@
  * Workers run a fresh single-shader ExperimentEngine per unit — under
  * a per-unit governor::ScopedRequestBudget, so an ambient
  * GSOPT_DEADLINE_MS bounds each unit — and ship the finished shard
- * *file bytes* back: the shard file format is the wire format (see
- * experiment.h), so merge verification is free.
+ * *file bytes* back.
  *
- * The coordinator merges with "copy if key absent": every incoming
- * shard is written to a `.tmp` sibling, re-validated through
- * ExperimentEngine::loadShard (key, content hash, structural checks),
- * and only then atomically renamed into the shard directory. A shard
- * that fails validation is rejected and its unit re-queued; a
- * duplicate delivery (a unit that was re-assigned after a lease
- * expiry and then completed twice) is discarded. The merged directory
- * is a valid ExperimentEngine cache — resuming is "construct the
- * engine over it", and a coordinator started over a partial directory
- * re-runs only the missing units.
+ * The shard directory is the engine's, under the protocol documented
+ * in tuner/experiment.h: framing, publish, validation and the orphan
+ * sweep are the engine's own routines, called here. The coordinator
+ * merges with "copy if key absent": a delivery is validated with
+ * parseShardFile before anything touches the directory; one that
+ * fails is rejected and its unit re-queued, and a duplicate delivery
+ * (a unit re-assigned after a lease expiry, then completed twice) is
+ * discarded. The merged directory is a valid ExperimentEngine cache —
+ * resuming is "construct the engine over it", and a coordinator
+ * started over a partial directory re-runs only the missing units.
  *
  * Fault tolerance mirrors the in-process campaign: each assignment
  * carries a lease; workers heartbeat while executing; a worker that
@@ -47,8 +46,8 @@
  *
  * Knobs: GSOPT_DISTRIB_WORKERS (default worker count when
  * Options::workers is 0), GSOPT_LEASE_MS (default lease when
- * Options::leaseMs is 0). Malformed values abort loudly, same policy
- * as GSOPT_FAULTS.
+ * Options::leaseMs is 0). Malformed values abort loudly
+ * (support/strings.h envUint).
  */
 #ifndef GSOPT_TUNER_DISTRIB_H
 #define GSOPT_TUNER_DISTRIB_H
@@ -193,7 +192,7 @@ makeSubprocessTransport(unsigned workers);
  * (coordinator and worker must agree on registry/device/schema state —
  * a mismatch means environment drift and fails loudly), run a fresh
  * single-shader ExperimentEngine under a per-unit request budget, and
- * return the complete shard file bytes ([key][hash][body]). Throws on
+ * return its shardFileBytes. Throws on
  * any failure, including a quarantined device item (a worker has no
  * business publishing a partial shard — the coordinator re-queues).
  */

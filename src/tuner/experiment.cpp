@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "passes/registry.h"
@@ -16,12 +14,16 @@
 #include "support/diag.h"
 #include "support/fault.h"
 #include "support/governor.h"
+#include "support/ipc.h"
 #include "support/retry.h"
 #include "support/rng.h"
 #include "support/stats.h"
+#include "support/strings.h"
 #include "support/thread_pool.h"
 
 namespace gsopt::tuner {
+
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -43,52 +45,7 @@ namespace {
  * flag-lattice bodies stay byte-identical to 14/15. */
 constexpr uint64_t kSchemaVersion = 16;
 
-/** Exact IEEE-754 bit pattern of a double, for hashing. Decimal
- * formatting (the old ostringstream path) silently collided configs
- * differing past the default 6 significant digits. */
-uint64_t
-doubleBits(double v)
-{
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v), "double is 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
 } // namespace
-
-uint64_t
-deviceModelKey(const gpu::DeviceModel &device)
-{
-    uint64_t key = fnv1a(device.name);
-    key = hashCombine(key, fnv1a(device.vendor));
-    key = hashCombine(key, static_cast<uint64_t>(device.id));
-    key = hashCombine(key, static_cast<uint64_t>(device.isa));
-    for (double v :
-         {device.clockGhz, device.baseOverheadCycles, device.costAddMul,
-          device.costDiv, device.costSqrt, device.costTranscendental,
-          device.costMov, device.costBranch, device.divergencePenalty,
-          device.texIssueCost, device.texLatency, device.wavesToHideTex,
-          device.regBudget, device.spillThreshold, device.spillCost,
-          device.maxWaves, device.icacheInstrs, device.icachePenalty,
-          device.slpEfficiency, device.noiseSigma,
-          device.timerQuantumNs}) {
-        key = hashCombine(key, doubleBits(v));
-    }
-    key = hashCombine(key, static_cast<uint64_t>(device.shaderUnits));
-    key = hashCombine(key,
-                      static_cast<uint64_t>(device.trianglesPerFrame));
-    key = hashCombine(key, device.jitFlags.mask());
-    key = hashCombine(key,
-                      static_cast<uint64_t>(device.jitUnrollTrips));
-    key = hashCombine(key,
-                      static_cast<uint64_t>(device.jitUnrollInstrs));
-    key = hashCombine(key,
-                      static_cast<uint64_t>(device.jitHoistArmInstrs));
-    key = hashCombine(key,
-                      static_cast<uint64_t>(device.schedulerWindow));
-    return key;
-}
 
 uint64_t
 deviceSetKey()
@@ -96,7 +53,7 @@ deviceSetKey()
     uint64_t key = kSchemaVersion;
     key = hashCombine(key, passes::PassRegistry::instance().signature());
     for (gpu::DeviceId id : gpu::allDevices())
-        key = hashCombine(key, deviceModelKey(gpu::deviceModel(id)));
+        key = hashCombine(key, gpu::deviceModelKey(gpu::deviceModel(id)));
     return key;
 }
 
@@ -242,44 +199,12 @@ ExperimentEngine::ExperimentEngine(
     const std::vector<corpus::CorpusShader> &shaders, unsigned threads,
     const std::string &cacheDir)
 {
-    namespace fs = std::filesystem;
     results_.resize(shaders.size());
 
     const uint64_t set_key = deviceSetKey();
 
     auto shard_path = [&](size_t i, uint64_t key) {
         return cacheDir + "/" + shardFileName(shaders[i], key);
-    };
-
-    // Retire every shard no current shader claims (old keys from
-    // prior schemas / device sets / registries / source revisions,
-    // and shaders dropped from the corpus) so the cache never
-    // accretes. In-flight `.tmp` checkpoints are never reaped while
-    // their key is live; a `.tmp` whose key died is an orphan too.
-    auto sweep_orphans = [&] {
-        std::set<std::string> live;
-        for (size_t i = 0; i < shaders.size(); ++i)
-            live.insert(shard_path(i, shardKey(shaders[i], set_key)));
-        auto ends_with = [](const std::string &s,
-                            const std::string &suffix) {
-            return s.size() >= suffix.size() &&
-                   s.compare(s.size() - suffix.size(), suffix.size(),
-                             suffix) == 0;
-        };
-        std::error_code iter_ec;
-        for (const auto &entry :
-             fs::directory_iterator(cacheDir, iter_ec)) {
-            const std::string name = entry.path().filename().string();
-            if (ends_with(name, ".bin")) {
-                if (!live.count(cacheDir + "/" + name))
-                    fs::remove(entry.path(), iter_ec);
-            } else if (ends_with(name, ".bin.tmp")) {
-                const std::string base =
-                    name.substr(0, name.size() - 4);
-                if (!live.count(cacheDir + "/" + base))
-                    fs::remove(entry.path(), iter_ec);
-            }
-        }
     };
 
     std::vector<size_t> missing;
@@ -289,7 +214,7 @@ ExperimentEngine::ExperimentEngine(
             missing.push_back(i);
     }
     if (missing.empty()) {
-        sweep_orphans();
+        sweepShardDir(cacheDir, shaders, set_key);
         return;
     }
 
@@ -308,7 +233,7 @@ ExperimentEngine::ExperimentEngine(
     };
 
     runShaders(shaders, missing, threads, checkpoint);
-    sweep_orphans();
+    sweepShardDir(cacheDir, shaders, set_key);
 }
 
 const ExperimentEngine &
@@ -358,8 +283,7 @@ ExperimentEngine::runShaders(
 
     // GSOPT_STRICT=1 restores fail-fast: the first item error aborts
     // the campaign (CI wants a loud failure, not a quarantine).
-    const char *strict_env = std::getenv("GSOPT_STRICT");
-    const bool strict = strict_env && *strict_env && *strict_env != '0';
+    const bool strict = strictMode();
     const RetryPolicy policy = defaultRetryPolicy();
 
     std::mutex health_mutex;
@@ -437,12 +361,9 @@ ExperimentEngine::runShaders(
         q.error = what;
         q.attempts = attempts;
 
-        Diagnostic d;
-        d.severity = Severity::Warning;
-        d.message = "quarantined campaign item " + q.shader + " x " +
-                    gpu::deviceModel(devices[di]).vendor + " after " +
-                    std::to_string(attempts) + " attempt(s): " + what;
-        std::fprintf(stderr, "%s\n", d.str().c_str());
+        warn("quarantined campaign item " + q.shader + " x " +
+             gpu::deviceModel(devices[di]).vendor + " after " +
+             std::to_string(attempts) + " attempt(s): " + what);
 
         health_.quarantined.push_back(std::move(q));
     };
@@ -612,92 +533,36 @@ ExperimentEngine::familyPrior() const
 
 // ---------------------------------------------------------------- cache
 
-namespace {
-
-void
-writeString(std::ostream &os, const std::string &s)
-{
-    const uint64_t n = s.size();
-    os.write(reinterpret_cast<const char *>(&n), sizeof(n));
-    os.write(s.data(), static_cast<std::streamsize>(n));
-}
-
-bool
-readString(std::istream &is, std::string &s)
-{
-    uint64_t n = 0;
-    if (!is.read(reinterpret_cast<char *>(&n), sizeof(n)))
-        return false;
-    // Bound the length by the bytes actually remaining in the body: a
-    // flipped length byte must fail cleanly here, not allocate ~1 GB
-    // before the read fails.
-    const std::streamoff here = is.tellg();
-    if (here < 0)
-        return false;
-    is.seekg(0, std::ios::end);
-    const std::streamoff end = is.tellg();
-    is.seekg(here);
-    if (end < here || n > static_cast<uint64_t>(end - here))
-        return false;
-    s.resize(n);
-    return static_cast<bool>(
-        is.read(s.data(), static_cast<std::streamsize>(n)));
-}
-
-template <typename T>
-void
-writePod(std::ostream &os, const T &v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-bool
-readPod(std::istream &is, T &v)
-{
-    return static_cast<bool>(
-        is.read(reinterpret_cast<char *>(&v), sizeof(T)));
-}
-
-} // namespace
-
 std::string
 serializeShardBody(const ShaderResult &r)
 {
-    std::ostringstream os(std::ios::binary);
-    writeString(os, r.exploration.shaderName);
-    writeString(os, r.exploration.family);
-    writeString(os, r.exploration.preprocessedOriginal);
-    writeString(os, r.exploration.originalSource);
-    writePod(os,
-             static_cast<uint64_t>(r.exploration.exploredFlagCount));
-    writePod(os, static_cast<uint64_t>(r.exploration.variants.size()));
+    ipc::Pack p;
+    p.str(r.exploration.shaderName)
+        .str(r.exploration.family)
+        .str(r.exploration.preprocessedOriginal)
+        .str(r.exploration.originalSource)
+        .u64(r.exploration.exploredFlagCount)
+        .u64(r.exploration.variants.size());
     for (const auto &v : r.exploration.variants) {
-        writeString(os, v.source);
-        writePod(os, v.sourceHash);
-        writePod(os, static_cast<uint64_t>(v.producers.size()));
+        p.str(v.source).u64(v.sourceHash).u64(v.producers.size());
         for (const FlagSet &f : v.producers)
-            writePod(os, f.bits);
+            p.u64(f.bits);
     }
-    writePod(os,
-             static_cast<uint64_t>(r.exploration.variantOfCombo.size()));
+    p.u64(r.exploration.variantOfCombo.size());
     // Deterministic order keeps shard bytes reproducible.
     std::vector<std::pair<uint64_t, int>> combos(
         r.exploration.variantOfCombo.begin(),
         r.exploration.variantOfCombo.end());
     std::sort(combos.begin(), combos.end());
-    for (const auto &[combo, index] : combos) {
-        writePod(os, combo);
-        writePod(os, static_cast<int64_t>(index));
-    }
-    writePod(os, r.exploration.passthroughVariant);
-    writePod(os, static_cast<uint64_t>(r.byDevice.size()));
+    for (const auto &[combo, index] : combos)
+        p.u64(combo).pod(static_cast<int64_t>(index));
+    p.pod(r.exploration.passthroughVariant).u64(r.byDevice.size());
     for (const auto &[dev, m] : r.byDevice) {
-        writePod(os, static_cast<int>(dev));
-        writePod(os, m.originalMeanNs);
-        writePod(os, static_cast<uint64_t>(m.variantMeanNs.size()));
+        p.pod(static_cast<int>(dev))
+            .pod(m.originalMeanNs)
+            .u64(m.variantMeanNs.size());
         for (double t : m.variantMeanNs)
-            writePod(os, t);
+            p.pod(t);
     }
     // Tagged trailing sections (schema 16), each written only when
     // non-empty, so a healthy pure flag-lattice campaign — the paper's
@@ -705,84 +570,96 @@ serializeShardBody(const ShaderResult &r)
     // 14/15 and the golden md5 pins hold. Both source maps are ordered;
     // iteration order is deterministic.
     if (!r.exploration.variantOfPlan.empty()) {
-        writePod(os, static_cast<char>('P'));
-        writePod(os, static_cast<uint64_t>(
-                         r.exploration.variantOfPlan.size()));
-        for (const auto &[plan, index] : r.exploration.variantOfPlan) {
-            writeString(os, plan);
-            writePod(os, static_cast<int64_t>(index));
-        }
+        p.pod('P').u64(r.exploration.variantOfPlan.size());
+        for (const auto &[plan, index] : r.exploration.variantOfPlan)
+            p.str(plan).pod(static_cast<int64_t>(index));
     }
     if (!r.quarantined.empty()) {
-        writePod(os, static_cast<char>('Q'));
-        writePod(os, static_cast<uint64_t>(r.quarantined.size()));
+        p.pod('Q').u64(r.quarantined.size());
         for (gpu::DeviceId dev : r.quarantined) {
-            writePod(os, static_cast<int>(dev));
             auto why = r.quarantineReason.find(dev);
-            writeString(os, why == r.quarantineReason.end()
-                                ? std::string()
-                                : why->second);
+            p.pod(static_cast<int>(dev))
+                .str(why == r.quarantineReason.end() ? std::string_view()
+                                                     : why->second);
         }
     }
-    return os.str();
+    return p.take();
 }
 
-namespace {
-
-void
-warnShard(const std::string &path, const std::string &what)
+std::string
+shardFileBytes(uint64_t key, const ShaderResult &r)
 {
-    Diagnostic d;
-    d.severity = Severity::Warning;
-    d.message = "shard checkpoint '" + path + "': " + what;
-    std::fprintf(stderr, "%s\n", d.str().c_str());
-}
-
-} // namespace
-
-void
-ExperimentEngine::saveShard(const std::string &path, uint64_t key,
-                            const ShaderResult &r)
-{
-    namespace fs = std::filesystem;
-    // Serialise the body first so a content hash can front it: the
-    // structural caps in loadShard cannot catch a flipped byte inside
-    // stored shader text, and a silently wrong variant is worse than
-    // a re-run shard.
+    // The content hash fronts the body: the parser's structural caps
+    // cannot catch a flipped byte inside stored shader text, and a
+    // silently wrong variant is worse than a re-run shard.
     const std::string body = serializeShardBody(r);
+    ipc::Pack file;
+    file.u64(key).u64(fnv1a(body));
+    return file.take() + body;
+}
 
+std::string
+publishShardFile(const std::string &path, const std::string &bytes)
+{
     // Tmp-rename protocol: build the whole file beside the target,
     // publish it with one atomic rename. A crash (or injected tear)
     // mid-write leaves only the .tmp — readers never see a torn
     // shard, and a previous complete shard stays intact.
     const std::string tmp = path + ".tmp";
     std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) {
-        warnShard(path, "cannot open temporary file for writing");
-        return;
-    }
-    writePod(file, key);
-    writePod(file, fnv1a(body));
-    const size_t n = fault::tearPoint("shard.write", body.size());
-    file.write(body.data(), static_cast<std::streamsize>(n));
+    if (!file)
+        return "cannot open temporary file for writing";
+    const size_t n = fault::tearPoint("shard.write", bytes.size());
+    file.write(bytes.data(), static_cast<std::streamsize>(n));
     file.flush();
-    if (n != body.size()) {
-        // Injected torn write: simulate the process dying mid-write —
-        // abandon the .tmp without publishing it.
-        warnShard(path, "torn write injected; checkpoint abandoned");
-        return;
-    }
+    // Injected torn write: simulate the process dying mid-write —
+    // abandon the .tmp without publishing it.
+    if (n != bytes.size())
+        return "torn write injected; checkpoint abandoned";
+    std::error_code ec;
     if (!file) {
-        warnShard(path, "write failed; checkpoint abandoned");
-        std::error_code ec;
         fs::remove(tmp, ec);
-        return;
+        return "write failed; checkpoint abandoned";
     }
     file.close();
-    std::error_code ec;
     fs::rename(tmp, path, ec);
-    if (ec)
-        warnShard(path, "rename failed: " + ec.message());
+    return ec ? "rename failed: " + ec.message() : std::string();
+}
+
+void
+sweepShardDir(const std::string &dir,
+              const std::vector<corpus::CorpusShader> &shaders,
+              uint64_t setKey)
+{
+    std::set<std::string> live;
+    for (const corpus::CorpusShader &shader : shaders)
+        live.insert(shardFileName(shader, shardKey(shader, setKey)));
+    std::error_code ec;
+    for (const auto &entry : fs::directory_iterator(dir, ec)) {
+        std::string name = entry.path().filename().string();
+        if (endsWith(name, ".bin.tmp"))
+            name.resize(name.size() - 4); // the shard it would become
+        else if (!endsWith(name, ".bin"))
+            continue; // not a shard name: never ours to delete
+        if (!live.count(name))
+            fs::remove(entry.path(), ec);
+    }
+}
+
+bool
+strictMode()
+{
+    const char *env = std::getenv("GSOPT_STRICT");
+    return env && *env && *env != '0';
+}
+
+void
+ExperimentEngine::saveShard(const std::string &path, uint64_t key,
+                            const ShaderResult &r)
+{
+    const std::string why = publishShardFile(path, shardFileBytes(key, r));
+    if (!why.empty())
+        warn("shard checkpoint '" + path + "': " + why);
 }
 
 bool
@@ -792,11 +669,25 @@ ExperimentEngine::loadShard(const std::string &path, uint64_t key,
     // An injected read fault is a cache miss: the shard re-runs.
     if (fault::triggered("shard.read"))
         return false;
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
+    std::ifstream file(path, std::ios::binary | std::ios::ate);
+    const std::streamoff size = file ? std::streamoff(file.tellg()) : -1;
+    // Bound the allocation before reading anything (bodies top out far
+    // below 2 GiB; a directory or a device reports nonsense sizes).
+    if (size < 0 || size > (1ll << 31))
         return false;
+    std::string bytes(static_cast<size_t>(size), '\0');
+    if (!file.seekg(0) || !file.read(bytes.data(), size))
+        return false;
+    return parseShardFile(bytes, key, out, path);
+}
+
+bool
+parseShardFile(std::string_view bytes, uint64_t key, ShaderResult &out,
+               const std::string &where)
+{
+    ipc::Unpack header(bytes);
     uint64_t file_key = 0, body_hash = 0;
-    if (!readPod(file, file_key))
+    if (!header.u64(file_key))
         return false;
     if (file_key != key) {
         // A present-but-differently-keyed shard is stale, not corrupt:
@@ -805,37 +696,29 @@ ExperimentEngine::loadShard(const std::string &path, uint64_t key,
         // (or otherwise outdated) shard looks like. Miss cleanly — the
         // shard re-runs — but say so: a silent wrong-key hit here
         // would poison every figure downstream.
-        warnShard(path, "key mismatch (stale schema, registry, device "
-                        "set, or shader source); treating as a cache "
-                        "miss");
+        warn("shard checkpoint '" + where +
+             "': key mismatch (stale schema, registry, device set, or "
+             "shader source); treating as a cache miss");
         return false;
     }
-    if (!readPod(file, body_hash))
+    if (!header.u64(body_hash))
         return false;
-    const std::streamoff body_start = file.tellg();
-    file.seekg(0, std::ios::end);
-    const std::streamoff body_size = file.tellg() - body_start;
-    if (body_size < 0 || body_size > (1ll << 31))
-        return false;
-    file.seekg(body_start);
-    std::string body(static_cast<size_t>(body_size), '\0');
-    if (!file.read(body.data(), body_size))
-        return false;
+    const std::string_view body = bytes.substr(2 * sizeof(uint64_t));
     if (fnv1a(body) != body_hash)
         return false;
-    std::istringstream is(body, std::ios::binary);
+    ipc::Unpack is(body);
     ShaderResult r;
-    if (!readString(is, r.exploration.shaderName) ||
-        !readString(is, r.exploration.family) ||
-        !readString(is, r.exploration.preprocessedOriginal) ||
-        !readString(is, r.exploration.originalSource))
+    if (!is.str(r.exploration.shaderName) ||
+        !is.str(r.exploration.family) ||
+        !is.str(r.exploration.preprocessedOriginal) ||
+        !is.str(r.exploration.originalSource))
         return false;
     uint64_t flag_count = 0;
-    if (!readPod(is, flag_count) || flag_count > 63)
+    if (!is.u64(flag_count) || flag_count > 63)
         return false;
     r.exploration.exploredFlagCount = flag_count;
     uint64_t n_variants = 0;
-    if (!readPod(is, n_variants) || n_variants > 100000)
+    if (!is.u64(n_variants) || n_variants > 100000)
         return false;
     r.exploration.variants.resize(n_variants);
     // Plan-only variants (schema 15) legitimately have zero producers
@@ -845,52 +728,52 @@ ExperimentEngine::loadShard(const std::string &path, uint64_t key,
     std::vector<size_t> producerless;
     for (size_t vi = 0; vi < n_variants; ++vi) {
         auto &v = r.exploration.variants[vi];
-        if (!readString(is, v.source) || !readPod(is, v.sourceHash))
+        if (!is.str(v.source) || !is.u64(v.sourceHash))
             return false;
         uint64_t n_producers = 0;
-        if (!readPod(is, n_producers) || n_producers > (1ull << 24))
+        if (!is.u64(n_producers) || n_producers > (1ull << 24))
             return false;
         if (n_producers == 0)
             producerless.push_back(vi);
         v.producers.resize(n_producers);
         for (auto &f : v.producers) {
-            if (!readPod(is, f.bits))
+            if (!is.u64(f.bits))
                 return false;
         }
     }
     uint64_t n_combos = 0;
-    if (!readPod(is, n_combos) || n_combos > (1ull << 24))
+    if (!is.u64(n_combos) || n_combos > (1ull << 24))
         return false;
     r.exploration.variantOfCombo.reserve(n_combos);
     for (uint64_t c = 0; c < n_combos; ++c) {
         uint64_t combo = 0;
         int64_t index = 0;
-        if (!readPod(is, combo) || !readPod(is, index))
+        if (!is.u64(combo) || !is.pod(index))
             return false;
         if (index < 0 || static_cast<uint64_t>(index) >= n_variants)
             return false;
         r.exploration.variantOfCombo.emplace(
             combo, static_cast<int>(index));
     }
-    if (!readPod(is, r.exploration.passthroughVariant) ||
+    if (!is.pod(r.exploration.passthroughVariant) ||
         r.exploration.passthroughVariant < 0 ||
         static_cast<uint64_t>(r.exploration.passthroughVariant) >=
             n_variants)
         return false;
     uint64_t n_devices = 0;
-    if (!readPod(is, n_devices) || n_devices > 16)
+    if (!is.u64(n_devices) || n_devices > 16)
         return false;
     for (uint64_t d = 0; d < n_devices; ++d) {
         int dev_int = 0;
         DeviceMeasurement m;
-        if (!readPod(is, dev_int) || !readPod(is, m.originalMeanNs))
+        if (!is.pod(dev_int) || !is.pod(m.originalMeanNs))
             return false;
         uint64_t n_times = 0;
-        if (!readPod(is, n_times) || n_times != n_variants)
+        if (!is.u64(n_times) || n_times != n_variants)
             return false;
         m.variantMeanNs.resize(n_times);
         for (double &t : m.variantMeanNs) {
-            if (!readPod(is, t))
+            if (!is.pod(t))
                 return false;
         }
         r.byDevice.emplace(static_cast<gpu::DeviceId>(dev_int),
@@ -900,23 +783,22 @@ ExperimentEngine::loadShard(const std::string &path, uint64_t key,
     // 'Q' quarantine, each at most once, in that order. Absent for a
     // healthy flag-lattice campaign — then the body ends exactly here.
     bool seen_plans = false, seen_quarantine = false;
-    while (is.peek() != std::char_traits<char>::eof()) {
+    while (!is.done()) {
         char tag = 0;
-        if (!readPod(is, tag))
+        if (!is.pod(tag))
             return false;
         if (tag == 'P') {
             if (seen_plans || seen_quarantine)
                 return false; // duplicate or out-of-order section
             seen_plans = true;
             uint64_t n_plans = 0;
-            if (!readPod(is, n_plans) || n_plans == 0 ||
+            if (!is.u64(n_plans) || n_plans == 0 ||
                 n_plans > (1ull << 24))
                 return false;
             for (uint64_t p = 0; p < n_plans; ++p) {
                 std::string plan;
                 int64_t index = 0;
-                if (!readString(is, plan) || plan.empty() ||
-                    !readPod(is, index))
+                if (!is.str(plan) || plan.empty() || !is.pod(index))
                     return false;
                 if (index < 0 ||
                     static_cast<uint64_t>(index) >= n_variants)
@@ -932,12 +814,12 @@ ExperimentEngine::loadShard(const std::string &path, uint64_t key,
                 return false;
             seen_quarantine = true;
             uint64_t n_q = 0;
-            if (!readPod(is, n_q) || n_q == 0 || n_q > 1024)
+            if (!is.u64(n_q) || n_q == 0 || n_q > 1024)
                 return false;
             for (uint64_t q = 0; q < n_q; ++q) {
                 int dev_int = 0;
                 std::string reason;
-                if (!readPod(is, dev_int) || !readString(is, reason))
+                if (!is.pod(dev_int) || !is.str(reason))
                     return false;
                 const auto dev = static_cast<gpu::DeviceId>(dev_int);
                 // A quarantined device has no measurement, and the

@@ -32,6 +32,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu/device.h"
@@ -103,15 +104,8 @@ struct ShaderResult
 
 // ---- campaign cache keys -------------------------------------------------
 
-/**
- * Exact-bit hash of one device model: every double is hashed through
- * its IEEE-754 bit pattern (not decimal formatting), so a 1-ulp
- * parameter change changes the key.
- */
-uint64_t deviceModelKey(const gpu::DeviceModel &device);
-
-/** Combined key of all configured devices plus the pass-registry
- * signature and the engine schema version. */
+/** Combined key of all configured devices (gpu::deviceModelKey) plus
+ * the pass-registry signature and the engine schema version. */
 uint64_t deviceSetKey();
 
 /** Shard cache key for one shader under @p setKey (from
@@ -128,31 +122,32 @@ uint64_t shardKey(const corpus::CorpusShader &shader, uint64_t setKey);
 std::string shardFileName(const corpus::CorpusShader &shader,
                           uint64_t key);
 
+// ---- the shard-directory protocol --------------------------------------
+//
+// One shard file per shader: [shard key u64][fnv1a(body) u64][body].
+// The file is both the engine's checkpoint and the distributed
+// campaign's wire format — a worker ships exactly these bytes, and the
+// coordinator (tuner/distrib.h) runs them through the same parser
+// before publishing them with the same routine. Its rules:
+//
+//  - Framing: shardFileBytes is the only writer of the header.
+//  - Publish: publishShardFile writes `<path>.tmp`, then renames it
+//    onto `<path>`, so readers never see a half-written shard; a crash
+//    mid-write leaves at worst a `.tmp` and the previous shard intact.
+//  - Validation: parseShardFile checks the key, the body content hash
+//    and the structure, so corruption is a miss (re-run), never bad
+//    data. A key mismatch — the key covers schema, pass registry,
+//    device set and shader source, so this is an outdated shard — is
+//    a clean miss with a support/diag warning.
+//  - Sweep: sweepShardDir removes only `*.bin` and `*.bin.tmp` names
+//    that no live key claims. Anything else in the directory (notes,
+//    subdirectories) is left alone, and a live key's `.tmp` survives.
+
 /**
  * The canonical byte serialisation of one shader's campaign result —
- * the body of a shard cache file (everything after the key and content
- * hash). Deterministic for a deterministic campaign; the golden
- * regression tests md5 these bytes against the values captured before
- * the arena/memoization refactor.
- *
- * Shard file format: [shard key u64][fnv1a(body) u64][body bytes].
- * This file format is also the *wire format* of the distributed
- * campaign: a worker ships exactly these bytes back over the
- * support/ipc frame protocol, and the coordinator validates them with
- * the same loadShard path before publishing — checkpoint unit and
- * transfer unit are one representation (see tuner/distrib.h).
- * Shards are published with a tmp-rename protocol: saveShard writes
- * the whole file to a `<path>.tmp` sibling first and only then
- * atomically renames it onto `<path>`, so readers never observe a
- * half-written shard — a crash mid-checkpoint leaves at worst a stale
- * `.tmp` (overwritten by the next checkpoint, reaped by the orphan
- * sweep once its key dies) and the previous complete shard, if any,
- * stays intact. loadShard additionally verifies the key and the body
- * content hash, so any residual corruption is a cache miss (re-run),
- * never bad data. A shard whose key does not match — the key covers
- * the schema version, pass-registry signature, device set, and shader
- * source, so this is what an old-schema shard looks like — is a clean
- * miss with a support/diag warning, never a silent wrong-key hit.
+ * the body of a shard file. Deterministic for a deterministic
+ * campaign; the golden regression tests md5 these bytes against the
+ * values captured before the arena/memoization refactor.
  *
  * Schema 16 (tagged trailing sections): the body may end with optional
  * sections, each introduced by a one-byte tag, in this order, each at
@@ -176,6 +171,32 @@ std::string shardFileName(const corpus::CorpusShader &shader,
  * every shard key, so older shards miss cleanly and re-run.
  */
 std::string serializeShardBody(const ShaderResult &r);
+
+/** Complete shard file bytes of @p r under @p key. */
+std::string shardFileBytes(uint64_t key, const ShaderResult &r);
+
+/** Validate and decode shard file @p bytes expected under @p key.
+ * Returns false — never throws, @p out untouched — on any mismatch or
+ * corruption; @p where names the file in the key-mismatch warning. */
+bool parseShardFile(std::string_view bytes, uint64_t key,
+                    ShaderResult &out, const std::string &where);
+
+/** Publish @p bytes at @p path through its `.tmp` sibling (the
+ * `shard.write` tear point sits on the write). Returns "" on success,
+ * else why the shard was not published; an injected tear leaves the
+ * `.tmp` behind like a crash would. */
+std::string publishShardFile(const std::string &path,
+                             const std::string &bytes);
+
+/** Remove the stale shards of @p dir: every `*.bin` / `*.bin.tmp`
+ * whose name no shader of @p shaders claims under @p setKey. */
+void sweepShardDir(const std::string &dir,
+                   const std::vector<corpus::CorpusShader> &shaders,
+                   uint64_t setKey);
+
+/** GSOPT_STRICT=1 (any non-empty value but "0"): fail fast instead of
+ * quarantining, in the engine and the coordinator alike. */
+bool strictMode();
 
 /** One quarantined (shader, device) campaign item. */
 struct QuarantinedItem
@@ -268,16 +289,17 @@ class ExperimentEngine
     // worker split: a shard file is the campaign's checkpoint and
     // transfer unit) ------------------------------------------------------
 
-    /** Load and validate one shard. Returns false — never throws — on
-     * any mismatch or corruption (missing file, wrong key, bad content
-     * hash, truncated or garbled body): the caller re-runs the shard. */
+    /** Read one shard file and parseShardFile it. Returns false — never
+     * throws — on any mismatch or corruption (missing file, wrong key,
+     * bad content hash, truncated or garbled body, an injected
+     * `shard.read` fault): the caller re-runs the shard. */
     static bool loadShard(const std::string &path, uint64_t key,
                           ShaderResult &out);
 
-    /** Crash-safe checkpoint of one shard: writes `path + ".tmp"`,
-     * then atomically renames onto @p path. Failures (unopenable file,
-     * failed write, injected torn write) emit a support/diag warning
-     * and leave any previous shard at @p path untouched. */
+    /** Crash-safe checkpoint of one shard: publishShardFile of
+     * shardFileBytes. Failures (unopenable file, failed write,
+     * injected torn write) emit a support/diag warning and leave any
+     * previous shard at @p path untouched. */
     static void saveShard(const std::string &path, uint64_t key,
                           const ShaderResult &r);
 

@@ -26,6 +26,7 @@
 #include "support/retry.h"
 #include "support/rng.h"
 #include "test_scratch.h"
+#include "tuner/distrib.h"
 #include "tuner/experiment.h"
 #include "tuner/explore.h"
 
@@ -746,7 +747,10 @@ TEST(Campaign, OrphanSweepSkipsLiveTmpAndReapsDeadFiles)
 
     // A live shard's in-flight .tmp (a checkpoint in progress on
     // another worker) must survive the sweep; dead keys — old
-    // schemas, dropped shaders — are reaped, .tmp or not.
+    // schemas, dropped shaders — are reaped, .tmp or not. Entries
+    // that are not shard names (a user's notes, a subdirectory) are
+    // not the sweep's to delete. The engine and the distributed
+    // coordinator sweep the same directory by the same rule.
     std::string live_bin;
     for (const auto &entry : fs::directory_iterator(dir.path())) {
         if (entry.path().extension() == ".bin")
@@ -756,15 +760,31 @@ TEST(Campaign, OrphanSweepSkipsLiveTmpAndReapsDeadFiles)
     const std::string live_tmp = live_bin + ".tmp";
     const std::string dead_bin = dir.path() + "/dead-0000.bin";
     const std::string dead_tmp = dead_bin + ".tmp";
-    for (const std::string &p : {live_tmp, dead_bin, dead_tmp})
-        std::ofstream(p, std::ios::binary) << "x";
+    const std::string notes = dir.path() + "/notes.txt";
+    const std::string subdir = dir.path() + "/empty_subdir";
+    auto plant = [&] {
+        for (const std::string &p : {live_tmp, dead_bin, dead_tmp, notes})
+            std::ofstream(p, std::ios::binary) << "x";
+        fs::create_directory(subdir);
+    };
+    auto expect_swept = [&](const char *who) {
+        EXPECT_TRUE(fs::exists(live_bin)) << who;
+        EXPECT_TRUE(fs::exists(live_tmp)) << who;
+        EXPECT_FALSE(fs::exists(dead_bin)) << who;
+        EXPECT_FALSE(fs::exists(dead_tmp)) << who;
+        EXPECT_TRUE(fs::exists(notes)) << who;
+        EXPECT_TRUE(fs::is_directory(subdir)) << who;
+    };
 
+    plant();
     tuner::ExperimentEngine second(shaders, /*threads=*/1,
                                    dir.path());
-    EXPECT_TRUE(fs::exists(live_bin));
-    EXPECT_TRUE(fs::exists(live_tmp));
-    EXPECT_FALSE(fs::exists(dead_bin));
-    EXPECT_FALSE(fs::exists(dead_tmp));
+    expect_swept("engine");
+
+    plant();
+    tuner::distrib::CampaignCoordinator coord(shaders, dir.path());
+    EXPECT_EQ(coord.run().unitsFromCache, shaders.size());
+    expect_swept("coordinator");
 }
 
 } // namespace

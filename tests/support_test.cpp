@@ -19,6 +19,7 @@
 #include "support/strings.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
+#include "test_scratch.h"
 
 namespace gsopt {
 namespace {
@@ -275,6 +276,29 @@ TEST(ParallelFor, HookExceptionIsAnItemFailure)
                  std::runtime_error);
     // fn ran for 0,1,2; the failing hook abandoned the rest.
     EXPECT_EQ(executed.load(), 3);
+}
+
+// Every integer env knob goes through support/strings.h envUint: unset
+// or empty keeps the default, a malformed value aborts naming the
+// variable instead of silently falling back.
+TEST(EnvKnobDeathTest, MalformedThreadCountAbortsNamingTheVariable)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *bad : {"four", "4x", "-2", " 4"}) {
+        EXPECT_DEATH(
+            {
+                testutil::ScopedEnv env("GSOPT_THREADS", bad);
+                defaultThreadCount();
+            },
+            "GSOPT_THREADS: '") << bad;
+    }
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    {
+        testutil::ScopedEnv env("GSOPT_THREADS", "");
+        EXPECT_EQ(defaultThreadCount(), hw);
+    }
+    testutil::ScopedEnv env("GSOPT_THREADS", "3");
+    EXPECT_EQ(defaultThreadCount(), 3u);
 }
 
 } // namespace
