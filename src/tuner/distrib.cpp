@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,6 +12,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include <fcntl.h>
@@ -93,596 +93,12 @@ defaultLeaseMs()
     return envUint("GSOPT_LEASE_MS", 30000, 1);
 }
 
-// ---- in-process transport ----------------------------------------------
+// ---- worker loop --------------------------------------------------------
 
-/**
- * Worker threads in this process. Deterministic (no processes, no
- * pipes), but it still funnels every delivered result through the
- * `ipc.send`/`ipc.recv` fault sites — a tear truncates the delivered
- * shard bytes (the coordinator's merge validation must reject them),
- * a throw surfaces as a unit error — so the same fault plans exercise
- * the coordinator's recovery paths without any subprocess machinery.
- *
- * Threads cannot be killed: reap() abandons the running thread (its
- * eventual delivery is tagged stale — the coordinator's duplicate
- * path) and revive() spawns a replacement with a fresh mailbox.
- */
-class InProcessTransport final : public WorkerTransport
-{
-  public:
-    InProcessTransport(unsigned workers, unsigned workerThreads)
-        : threads_(workerThreads == 0 ? 1 : workerThreads)
-    {
-        for (unsigned w = 0; w < workers; ++w)
-            slots_.push_back(std::make_unique<Slot>());
-        for (unsigned w = 0; w < workers; ++w)
-            spawn(w);
-    }
-
-    ~InProcessTransport() override { shutdown(); }
-
-    unsigned workerCount() const override
-    {
-        return static_cast<unsigned>(slots_.size());
-    }
-
-    bool live(unsigned w) const override { return slots_[w]->live; }
-
-    bool assign(unsigned w, const WireUnit &unit) override
-    {
-        Slot &s = *slots_[w];
-        if (!s.live)
-            return false;
-        {
-            std::lock_guard lock(s.box->m);
-            s.box->in.push_back(unit);
-        }
-        s.box->cv.notify_one();
-        return true;
-    }
-
-    TransportEvent poll(int timeoutMs) override
-    {
-        std::unique_lock lock(qm_);
-        if (!qcv_.wait_for(lock, std::chrono::milliseconds(timeoutMs),
-                           [&] { return !events_.empty(); }))
-            return {};
-        TransportEvent ev = std::move(events_.front());
-        events_.pop_front();
-        return ev;
-    }
-
-    void reap(unsigned w) override
-    {
-        Slot &s = *slots_[w];
-        if (!s.live)
-            return;
-        {
-            std::lock_guard lock(s.box->m);
-            s.box->quit = true;
-        }
-        s.box->cv.notify_all();
-        s.live = false;
-        {
-            // Deliveries from the abandoned generation become stale.
-            std::lock_guard lock(qm_);
-            s.generation++;
-        }
-        s.abandoned.push_back(std::move(s.thread));
-    }
-
-    bool revive(unsigned w) override
-    {
-        Slot &s = *slots_[w];
-        if (s.live)
-            return true;
-        spawn(w);
-        return true;
-    }
-
-    void shutdown() override
-    {
-        for (unsigned w = 0; w < workerCount(); ++w) {
-            Slot &s = *slots_[w];
-            if (s.live) {
-                {
-                    std::lock_guard lock(s.box->m);
-                    s.box->quit = true;
-                }
-                s.box->cv.notify_all();
-                s.live = false;
-            }
-            if (s.thread.joinable())
-                s.thread.join();
-            for (std::thread &t : s.abandoned)
-                if (t.joinable())
-                    t.join();
-            s.abandoned.clear();
-        }
-    }
-
-  private:
-    struct Mailbox
-    {
-        std::mutex m;
-        std::condition_variable cv;
-        std::deque<WireUnit> in;
-        bool quit = false;
-    };
-
-    struct Slot
-    {
-        std::shared_ptr<Mailbox> box;
-        std::thread thread;
-        uint64_t generation = 0; ///< guarded by qm_
-        bool live = false;
-    std::vector<std::thread> abandoned;
-    };
-
-    void spawn(unsigned w)
-    {
-        Slot &s = *slots_[w];
-        s.box = std::make_shared<Mailbox>();
-        uint64_t gen;
-        {
-            std::lock_guard lock(qm_);
-            gen = ++s.generation;
-        }
-        auto box = s.box;
-        s.thread = std::thread(
-            [this, w, gen, box] { workerMain(w, gen, *box); });
-        s.live = true;
-    }
-
-    void workerMain(unsigned w, uint64_t gen, Mailbox &box)
-    {
-        for (;;) {
-            WireUnit unit;
-            {
-                std::unique_lock lock(box.m);
-                box.cv.wait(lock, [&] {
-                    return box.quit || !box.in.empty();
-                });
-                if (box.in.empty())
-                    return; // quit with nothing queued
-                unit = std::move(box.in.front());
-                box.in.pop_front();
-            }
-            TransportEvent ev;
-            ev.worker = w;
-            ev.unit = unit.id;
-            try {
-                std::string bytes =
-                    executeUnit(unit.shader, unit.key, threads_);
-                // Simulated wire: route the delivery through the same
-                // fault sites as the pipe transport. A tear truncates
-                // the shard bytes (merge validation must catch it); a
-                // throw becomes a unit error.
-                size_t n = fault::tearPoint("ipc.send", bytes.size());
-                fault::point("ipc.send");
-                if (n == bytes.size()) {
-                    n = fault::tearPoint("ipc.recv", bytes.size());
-                    fault::point("ipc.recv");
-                }
-                if (n != bytes.size())
-                    bytes.resize(n);
-                ev.kind = TransportEvent::Kind::Result;
-                ev.bytes = std::move(bytes);
-            } catch (const std::exception &e) {
-                ev.kind = TransportEvent::Kind::UnitError;
-                ev.bytes = e.what();
-            }
-            {
-                std::lock_guard lock(qm_);
-                ev.stale = slots_[w]->generation != gen;
-                events_.push_back(std::move(ev));
-            }
-            qcv_.notify_one();
-            {
-                std::unique_lock lock(box.m);
-                if (box.quit && box.in.empty())
-                    return;
-            }
-        }
-    }
-
-    unsigned threads_;
-    std::vector<std::unique_ptr<Slot>> slots_;
-    std::mutex qm_;
-    std::condition_variable qcv_;
-    std::deque<TransportEvent> events_;
-};
-
-// ---- subprocess transport ----------------------------------------------
-
-/** Read /proc/self/exe (Linux). */
-std::string
-selfExePath()
-{
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        throw std::runtime_error(
-            "distrib: cannot resolve /proc/self/exe");
-    buf[n] = '\0';
-    return std::string(buf);
-}
-
-/** Pipe writes to a dead worker must fail with EPIPE, not kill the
- * coordinator process. Installed once, first use. */
-void
-ignoreSigpipeOnce()
-{
-    static const bool done = [] {
-        ::signal(SIGPIPE, SIG_IGN);
-        return true;
-    }();
-    (void)done;
-}
-
-/**
- * fork/exec'd workers speaking the support/ipc frame protocol. Each
- * worker is a re-execution of this binary with
- * GSOPT_DISTRIB_WORKER_FDS=3,4 in its environment: commands arrive on
- * fd 3, results leave on fd 4 (the hosting main() must divert into
- * maybeRunWorker()). Workers inherit the parent environment as of
- * transport construction, so ambient GSOPT_* configuration — fault
- * plans, budgets, extra passes — governs them identically.
- */
-class SubprocessTransport final : public WorkerTransport
-{
-  public:
-    explicit SubprocessTransport(unsigned workers)
-        : exe_(selfExePath())
-    {
-        ignoreSigpipeOnce();
-        if (std::getenv(kWorkerFdsEnv)) {
-            // A coordinator inside a worker would re-spawn this
-            // binary recursively; the hosting main() forgot to call
-            // maybeRunWorker(). Fail loudly before forking anything.
-            std::fprintf(stderr,
-                         "distrib: %s is set inside a coordinator — "
-                         "the host binary must call "
-                         "distrib::maybeRunWorker() first in main()\n",
-                         kWorkerFdsEnv);
-            std::abort();
-        }
-        buildChildEnv();
-        slots_.resize(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            if (!spawn(w)) {
-                shutdown();
-                throw std::runtime_error(
-                    "distrib: failed to spawn worker " +
-                    std::to_string(w) + " (no handshake — does the "
-                    "host binary call distrib::maybeRunWorker()?)");
-            }
-    }
-
-    ~SubprocessTransport() override { shutdown(); }
-
-    unsigned workerCount() const override
-    {
-        return static_cast<unsigned>(slots_.size());
-    }
-
-    bool live(unsigned w) const override { return slots_[w].live; }
-
-    bool assign(unsigned w, const WireUnit &unit) override
-    {
-        Proc &p = slots_[w];
-        if (!p.live)
-            return false;
-        try {
-            ipc::writeFrame(p.toChild, kUnit, encodeUnit(unit));
-            return true;
-        } catch (const std::exception &) {
-            // Failed or torn send: the stream is unusable either way.
-            markDead(w);
-            return false;
-        }
-    }
-
-    TransportEvent poll(int timeoutMs) override
-    {
-        if (queue_.empty())
-            pump(timeoutMs);
-        if (queue_.empty())
-            return {};
-        TransportEvent ev = std::move(queue_.front());
-        queue_.pop_front();
-        return ev;
-    }
-
-    void reap(unsigned w) override { markDead(w); }
-
-    bool revive(unsigned w) override
-    {
-        if (slots_[w].live)
-            return true;
-        return spawn(w);
-    }
-
-    void shutdown() override
-    {
-        for (unsigned w = 0; w < workerCount(); ++w) {
-            Proc &p = slots_[w];
-            if (!p.live)
-                continue;
-            try {
-                ipc::writeFrame(p.toChild, kShutdown, {});
-            } catch (const std::exception &) {
-            }
-        }
-        // Grace period, then force.
-        const uint64_t deadline = nowNs() + 2'000'000'000ull;
-        for (unsigned w = 0; w < workerCount(); ++w) {
-            Proc &p = slots_[w];
-            if (!p.live)
-                continue;
-            bool gone = false;
-            while (nowNs() < deadline) {
-                int status = 0;
-                const pid_t r = ::waitpid(p.pid, &status, WNOHANG);
-                if (r == p.pid || (r < 0 && errno == ECHILD)) {
-                    gone = true;
-                    break;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
-            }
-            if (!gone) {
-                ::kill(p.pid, SIGKILL);
-                ::waitpid(p.pid, nullptr, 0);
-            }
-            closeFds(p);
-            p.live = false;
-        }
-    }
-
-  private:
-    struct Proc
-    {
-        pid_t pid = -1;
-        int toChild = -1;
-        int fromChild = -1;
-        bool live = false;
-        ipc::FrameDecoder decoder;
-    };
-
-    void buildChildEnv()
-    {
-        childEnv_.clear();
-        for (char **e = environ; e && *e; ++e) {
-            if (std::strncmp(*e, kWorkerFdsEnv,
-                             std::strlen(kWorkerFdsEnv)) == 0 &&
-                (*e)[std::strlen(kWorkerFdsEnv)] == '=')
-                continue;
-            childEnv_.push_back(*e);
-        }
-        childEnv_.push_back(std::string(kWorkerFdsEnv) + "=3,4");
-        childEnvPtrs_.clear();
-        for (std::string &s : childEnv_)
-            childEnvPtrs_.push_back(s.data());
-        childEnvPtrs_.push_back(nullptr);
-        childArgv_ = {exe_.data(),
-                      const_cast<char *>("--gsopt-distrib-worker"),
-                      nullptr};
-    }
-
-    static void closeFds(Proc &p)
-    {
-        if (p.toChild >= 0)
-            ::close(p.toChild);
-        if (p.fromChild >= 0)
-            ::close(p.fromChild);
-        p.toChild = p.fromChild = -1;
-        p.decoder = ipc::FrameDecoder();
-    }
-
-    bool spawn(unsigned w)
-    {
-        Proc &p = slots_[w];
-        int c2w[2], w2c[2];
-        if (::pipe2(c2w, O_CLOEXEC) != 0)
-            return false;
-        if (::pipe2(w2c, O_CLOEXEC) != 0) {
-            ::close(c2w[0]);
-            ::close(c2w[1]);
-            return false;
-        }
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            ::close(c2w[0]);
-            ::close(c2w[1]);
-            ::close(w2c[0]);
-            ::close(w2c[1]);
-            return false;
-        }
-        if (pid == 0) {
-            // Child: only async-signal-safe calls until execve. Park
-            // the pipe ends above the target range first so dup2
-            // cannot collide with fds 3/4, then pin them (dup2 clears
-            // CLOEXEC on the duplicate; the originals close on exec).
-            const int in = ::fcntl(c2w[0], F_DUPFD, 16);
-            const int out = ::fcntl(w2c[1], F_DUPFD, 16);
-            if (in < 0 || out < 0 || ::dup2(in, 3) < 0 ||
-                ::dup2(out, 4) < 0)
-                ::_exit(126);
-            ::execve(childArgv_[0], childArgv_.data(),
-                     childEnvPtrs_.data());
-            ::_exit(127);
-        }
-        ::close(c2w[0]);
-        ::close(w2c[1]);
-        p.pid = pid;
-        p.toChild = c2w[1];
-        p.fromChild = w2c[0];
-        p.decoder = ipc::FrameDecoder();
-
-        // Handshake: the worker announces itself with kHello before
-        // anything else. A child that never says hello is a binary
-        // that does not divert into maybeRunWorker() — kill it before
-        // it does something expensive (like running a test suite).
-        const uint64_t deadline = nowNs() + 10'000'000'000ull;
-        while (nowNs() < deadline) {
-            struct pollfd pfd = {p.fromChild, POLLIN, 0};
-            const int r = ::poll(&pfd, 1, 100);
-            if (r < 0 && errno != EINTR)
-                break;
-            if (r <= 0)
-                continue;
-            char buf[4096];
-            const ssize_t n = ::read(p.fromChild, buf, sizeof(buf));
-            if (n <= 0)
-                break;
-            p.decoder.feed(buf, static_cast<size_t>(n));
-            ipc::Frame f;
-            try {
-                if (!p.decoder.next(f))
-                    continue;
-            } catch (const ipc::ProtocolError &) {
-                break;
-            }
-            if (f.type != kHello)
-                break;
-            p.live = true;
-            return true;
-        }
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
-        closeFds(p);
-        return false;
-    }
-
-    void markDead(unsigned w)
-    {
-        Proc &p = slots_[w];
-        if (!p.live)
-            return;
-        ::kill(p.pid, SIGKILL);
-        ::waitpid(p.pid, nullptr, 0);
-        closeFds(p);
-        p.live = false;
-    }
-
-    /** Drain readable worker pipes into events (at most one read per
-     * worker per call; complete frames queue up). */
-    void pump(int timeoutMs)
-    {
-        std::vector<struct pollfd> pfds;
-        std::vector<unsigned> owners;
-        for (unsigned w = 0; w < workerCount(); ++w) {
-            if (!slots_[w].live)
-                continue;
-            pfds.push_back({slots_[w].fromChild, POLLIN, 0});
-            owners.push_back(w);
-        }
-        if (pfds.empty()) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(std::min(timeoutMs, 10)));
-            return;
-        }
-        const int r = ::poll(pfds.data(),
-                             static_cast<nfds_t>(pfds.size()),
-                             timeoutMs);
-        if (r <= 0)
-            return;
-        for (size_t i = 0; i < pfds.size(); ++i) {
-            if (!(pfds[i].revents & (POLLIN | POLLHUP | POLLERR)))
-                continue;
-            const unsigned w = owners[i];
-            Proc &p = slots_[w];
-            char buf[1 << 16];
-            const ssize_t n = ::read(p.fromChild, buf, sizeof(buf));
-            if (n < 0) {
-                if (errno == EINTR || errno == EAGAIN)
-                    continue;
-                streamDead(w);
-                continue;
-            }
-            if (n == 0) {
-                // EOF. Mid-frame bytes mean the worker died mid-send
-                // (a short frame); either way the worker is gone.
-                streamDead(w);
-                continue;
-            }
-            p.decoder.feed(buf, static_cast<size_t>(n));
-            drainFrames(w);
-        }
-    }
-
-    void drainFrames(unsigned w)
-    {
-        Proc &p = slots_[w];
-        ipc::Frame f;
-        for (;;) {
-            try {
-                // Receiver-side fault: an injected ipc.recv failure
-                // poisons this worker's stream, same as real garbage.
-                fault::point("ipc.recv");
-                if (!p.decoder.next(f))
-                    return;
-            } catch (const std::exception &) {
-                streamDead(w);
-                return;
-            }
-            TransportEvent ev;
-            ev.worker = w;
-            ipc::Unpack up(f.payload);
-            switch (f.type) {
-            case kResult:
-                ev.kind = TransportEvent::Kind::Result;
-                if (!up.u64(ev.unit) || !up.str(ev.bytes) ||
-                    !up.done()) {
-                    streamDead(w);
-                    return;
-                }
-                break;
-            case kUnitError:
-                ev.kind = TransportEvent::Kind::UnitError;
-                if (!up.u64(ev.unit) || !up.str(ev.bytes) ||
-                    !up.done()) {
-                    streamDead(w);
-                    return;
-                }
-                break;
-            case kHeartbeat:
-                ev.kind = TransportEvent::Kind::Heartbeat;
-                if (!up.u64(ev.unit)) {
-                    streamDead(w);
-                    return;
-                }
-                break;
-            case kHello:
-                continue; // benign (re-handshake noise)
-            default:
-                streamDead(w);
-                return;
-            }
-            queue_.push_back(std::move(ev));
-        }
-    }
-
-    void streamDead(unsigned w)
-    {
-        markDead(w);
-        TransportEvent ev;
-        ev.kind = TransportEvent::Kind::WorkerDied;
-        ev.worker = w;
-        queue_.push_back(std::move(ev));
-    }
-
-    std::string exe_;
-    std::vector<std::string> childEnv_;
-    std::vector<char *> childEnvPtrs_;
-    std::vector<char *> childArgv_;
-    std::vector<Proc> slots_;
-    std::deque<TransportEvent> queue_;
-};
-
-// ---- subprocess worker loop --------------------------------------------
-
+/** The worker side of the frame protocol, the same for both hosts: say
+ * hello, then execute units read from @p in until kShutdown or EOF,
+ * heartbeating on @p out while each one runs. Throws on a broken
+ * stream; the host then dies like a crashed worker would. */
 void
 workerLoop(int in, int out)
 {
@@ -734,7 +150,7 @@ workerLoop(int in, int out)
         std::string resultBytes, errorMsg;
         bool ok = false;
         try {
-            resultBytes = executeUnit(unit.shader, unit.key, 1);
+            resultBytes = executeUnit(unit.shader, unit.key);
             ok = true;
         } catch (const std::exception &e) {
             errorMsg = e.what();
@@ -749,6 +165,467 @@ workerLoop(int in, int out)
         ipc::writeFrame(out, ok ? kResult : kUnitError, reply.bytes());
     }
 }
+
+/** Thread-host body. The thread owns both of its pipe ends and closes
+ * them itself, whether workerLoop returns or throws (see the rules on
+ * PipeTransport). */
+void
+runWorkerThread(int in, int out)
+{
+    try {
+        workerLoop(in, out);
+    } catch (...) {
+        // A dead coordinator pipe or an injected ipc fault. The failure
+        // reaches the coordinator as EOF on this worker's stream
+        // (WorkerDied), exactly as from a crashed subprocess.
+    }
+    ::close(in);
+    ::close(out);
+}
+
+// ---- transport ----------------------------------------------------------
+
+/** Read /proc/self/exe (Linux). */
+std::string
+selfExePath()
+{
+    char buf[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+    if (n <= 0)
+        throw std::runtime_error(
+            "distrib: cannot resolve /proc/self/exe");
+    buf[n] = '\0';
+    return std::string(buf);
+}
+
+/** Pipe writes to a dead worker must fail with EPIPE, not kill the
+ * process. Installed once, first use. */
+void
+ignoreSigpipeOnce()
+{
+    static const bool done = [] {
+        ::signal(SIGPIPE, SIG_IGN);
+        return true;
+    }();
+    (void)done;
+}
+
+/**
+ * The one WorkerTransport. Every worker slot speaks the support/ipc
+ * frame protocol over its own pair of pipes, and runs workerLoop in
+ * one of two hosts (TransportKind):
+ *
+ *  - Subprocess: a re-execution of this binary with
+ *    GSOPT_DISTRIB_WORKER_FDS=3,4 in its environment — commands
+ *    arrive on fd 3, results leave on fd 4 (the hosting main() must
+ *    divert into maybeRunWorker()). Workers inherit the parent
+ *    environment as of transport construction, so ambient GSOPT_*
+ *    configuration — fault plans, budgets, extra passes — governs
+ *    them identically.
+ *  - InProcess: a std::thread of this process over a pipe2 pair.
+ *
+ * The handshake, pump, heartbeats, the ipc.* fault sites and
+ * WorkerDied on EOF or a corrupt stream are one code path; only
+ * spawn, retire and shutdown branch on the host. Two rules keep
+ * thread hosts safe:
+ *  1. ignoreSigpipeOnce() runs for both hosts: a thread writing to a
+ *     retired slot's pipe must get EPIPE, not raise a SIGPIPE that
+ *     kills the whole process.
+ *  2. The thread owns its two pipe ends and closes them itself when
+ *     workerLoop returns or throws; retire() closes only the
+ *     coordinator's ends. Were retire() to close the worker's ends,
+ *     their fd numbers could be reused by the revived slot's new
+ *     pipe, and the abandoned thread would then write frames into
+ *     the new worker's stream.
+ * A thread cannot be killed: a retired one runs its unit to the end,
+ * meets EPIPE or EOF, and is joined at shutdown.
+ */
+class PipeTransport final : public WorkerTransport
+{
+  public:
+    PipeTransport(TransportKind host, unsigned workers) : host_(host)
+    {
+        ignoreSigpipeOnce();
+        if (host_ == TransportKind::Subprocess) {
+            if (std::getenv(kWorkerFdsEnv)) {
+                // A coordinator inside a worker would re-spawn this
+                // binary recursively; the hosting main() forgot to
+                // call maybeRunWorker(). Fail loudly before forking.
+                std::fprintf(stderr,
+                             "distrib: %s is set inside a coordinator "
+                             "— the host binary must call "
+                             "distrib::maybeRunWorker() first in "
+                             "main()\n",
+                             kWorkerFdsEnv);
+                std::abort();
+            }
+            exe_ = selfExePath();
+            buildChildEnv();
+        }
+        slots_.resize(workers);
+        for (unsigned w = 0; w < workers; ++w) {
+            // A thread fails its handshake only by dying (threads share
+            // this process's fault plan): leave the slot dead for the
+            // coordinator to revive. A subprocess that never says hello
+            // is a host binary that does not divert into
+            // maybeRunWorker().
+            if (!spawn(w) && host_ == TransportKind::Subprocess) {
+                shutdown();
+                throw std::runtime_error(
+                    "distrib: failed to spawn worker " +
+                    std::to_string(w) + " (no handshake — does the "
+                    "host binary call distrib::maybeRunWorker()?)");
+            }
+        }
+    }
+
+    ~PipeTransport() override { shutdown(); }
+
+    unsigned workerCount() const override
+    {
+        return static_cast<unsigned>(slots_.size());
+    }
+
+    bool live(unsigned w) const override { return slots_[w].live; }
+
+    bool assign(unsigned w, const WireUnit &unit) override
+    {
+        Slot &s = slots_[w];
+        if (!s.live)
+            return false;
+        try {
+            ipc::writeFrame(s.toWorker, kUnit, encodeUnit(unit));
+            return true;
+        } catch (const std::exception &) {
+            // Failed or torn send: the stream is unusable either way.
+            retire(s);
+            return false;
+        }
+    }
+
+    TransportEvent poll(int timeoutMs) override
+    {
+        if (queue_.empty())
+            pump(timeoutMs);
+        if (queue_.empty())
+            return {};
+        TransportEvent ev = std::move(queue_.front());
+        queue_.pop_front();
+        return ev;
+    }
+
+    void reap(unsigned w) override { retire(slots_[w]); }
+
+    bool revive(unsigned w) override
+    {
+        if (slots_[w].live)
+            return true;
+        return spawn(w);
+    }
+
+    void shutdown() override
+    {
+        for (Slot &s : slots_) {
+            if (!s.live)
+                continue;
+            try {
+                ipc::writeFrame(s.toWorker, kShutdown, {});
+            } catch (const std::exception &) {
+            }
+        }
+        // Subprocesses get a grace period, then SIGKILL. A thread
+        // leaves once its pipes close: idle, it reads the shutdown
+        // frame; mid-unit, its result send fails with EPIPE.
+        const uint64_t deadline = nowNs() + 2'000'000'000ull;
+        for (Slot &s : slots_) {
+            if (!s.live)
+                continue;
+            if (host_ == TransportKind::Subprocess &&
+                exitsBy(s.pid, deadline))
+                closeFds(s);
+            else
+                retire(s);
+        }
+        for (std::thread &t : retired_)
+            t.join();
+        retired_.clear();
+    }
+
+  private:
+    struct Slot
+    {
+        pid_t pid = -1;       ///< subprocess host
+        std::thread thread;   ///< thread host
+        int toWorker = -1;    ///< coordinator's write end
+        int fromWorker = -1;  ///< coordinator's read end
+        bool live = false;
+        ipc::FrameDecoder decoder;
+    };
+
+    void buildChildEnv()
+    {
+        childEnv_.clear();
+        for (char **e = environ; e && *e; ++e) {
+            if (std::strncmp(*e, kWorkerFdsEnv,
+                             std::strlen(kWorkerFdsEnv)) == 0 &&
+                (*e)[std::strlen(kWorkerFdsEnv)] == '=')
+                continue;
+            childEnv_.push_back(*e);
+        }
+        childEnv_.push_back(std::string(kWorkerFdsEnv) + "=3,4");
+        childEnvPtrs_.clear();
+        for (std::string &s : childEnv_)
+            childEnvPtrs_.push_back(s.data());
+        childEnvPtrs_.push_back(nullptr);
+        childArgv_ = {exe_.data(),
+                      const_cast<char *>("--gsopt-distrib-worker"),
+                      nullptr};
+    }
+
+    /** Reap child @p pid if it exits before @p deadlineNs. */
+    static bool exitsBy(pid_t pid, uint64_t deadlineNs)
+    {
+        while (nowNs() < deadlineNs) {
+            const pid_t r = ::waitpid(pid, nullptr, WNOHANG);
+            if (r == pid || (r < 0 && errno == ECHILD))
+                return true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        return false;
+    }
+
+    /** Close the coordinator's ends only (rule 2). */
+    static void closeFds(Slot &s)
+    {
+        if (s.toWorker >= 0)
+            ::close(s.toWorker);
+        if (s.fromWorker >= 0)
+            ::close(s.fromWorker);
+        s.toWorker = s.fromWorker = -1;
+        s.decoder = ipc::FrameDecoder();
+        s.live = false;
+    }
+
+    /** Forcibly end a slot's worker: SIGKILL a subprocess; cut a
+     * thread off from its pipes and keep it for joining. */
+    void retire(Slot &s)
+    {
+        if (s.toWorker < 0)
+            return;
+        if (host_ == TransportKind::Subprocess) {
+            ::kill(s.pid, SIGKILL);
+            ::waitpid(s.pid, nullptr, 0);
+        } else {
+            retired_.push_back(std::move(s.thread));
+        }
+        closeFds(s);
+    }
+
+    /** Start @p s's worker and hand it the worker ends of @p c2w and
+     * @p w2c (c2w[0] in, w2c[1] out): a thread takes ownership of
+     * them; a child inherits them and the parent closes its copies. */
+    bool launch(Slot &s, const int c2w[2], const int w2c[2])
+    {
+        if (host_ == TransportKind::InProcess) {
+            const int in = c2w[0], out = w2c[1];
+            try {
+                s.thread = std::thread(runWorkerThread, in, out);
+            } catch (const std::system_error &) {
+                ::close(in);
+                ::close(out);
+                return false;
+            }
+            return true;
+        }
+        const pid_t pid = ::fork();
+        if (pid == 0) {
+            // Child: only async-signal-safe calls until execve. Park
+            // the pipe ends above the target range first so dup2
+            // cannot collide with fds 3/4, then pin them (dup2 clears
+            // CLOEXEC on the duplicate; the originals close on exec).
+            const int in = ::fcntl(c2w[0], F_DUPFD, 16);
+            const int out = ::fcntl(w2c[1], F_DUPFD, 16);
+            if (in < 0 || out < 0 || ::dup2(in, 3) < 0 ||
+                ::dup2(out, 4) < 0)
+                ::_exit(126);
+            ::execve(childArgv_[0], childArgv_.data(),
+                     childEnvPtrs_.data());
+            ::_exit(127);
+        }
+        ::close(c2w[0]);
+        ::close(w2c[1]);
+        s.pid = pid;
+        return pid > 0;
+    }
+
+    bool spawn(unsigned w)
+    {
+        Slot &s = slots_[w];
+        int c2w[2], w2c[2];
+        if (::pipe2(c2w, O_CLOEXEC) != 0)
+            return false;
+        if (::pipe2(w2c, O_CLOEXEC) != 0) {
+            ::close(c2w[0]);
+            ::close(c2w[1]);
+            return false;
+        }
+        s.toWorker = c2w[1];
+        s.fromWorker = w2c[0];
+        if (!launch(s, c2w, w2c)) {
+            closeFds(s);
+            return false;
+        }
+
+        // Handshake: the worker announces itself with kHello before
+        // anything else. A child that never says hello is a binary
+        // that does not divert into maybeRunWorker() — kill it before
+        // it does something expensive (like running a test suite).
+        const uint64_t deadline = nowNs() + 10'000'000'000ull;
+        while (nowNs() < deadline) {
+            struct pollfd pfd = {s.fromWorker, POLLIN, 0};
+            const int r = ::poll(&pfd, 1, 100);
+            if (r < 0 && errno != EINTR)
+                break;
+            if (r <= 0)
+                continue;
+            char buf[4096];
+            const ssize_t n = ::read(s.fromWorker, buf, sizeof(buf));
+            if (n <= 0)
+                break;
+            s.decoder.feed(buf, static_cast<size_t>(n));
+            ipc::Frame f;
+            try {
+                if (!s.decoder.next(f))
+                    continue;
+            } catch (const ipc::ProtocolError &) {
+                break;
+            }
+            if (f.type != kHello)
+                break;
+            s.live = true;
+            return true;
+        }
+        retire(s);
+        return false;
+    }
+
+    /** Drain readable worker pipes into events (at most one read per
+     * worker per call; complete frames queue up). */
+    void pump(int timeoutMs)
+    {
+        std::vector<struct pollfd> pfds;
+        std::vector<unsigned> owners;
+        for (unsigned w = 0; w < workerCount(); ++w) {
+            if (!slots_[w].live)
+                continue;
+            pfds.push_back({slots_[w].fromWorker, POLLIN, 0});
+            owners.push_back(w);
+        }
+        if (pfds.empty()) {
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(std::min(timeoutMs, 10)));
+            return;
+        }
+        const int r = ::poll(pfds.data(),
+                             static_cast<nfds_t>(pfds.size()),
+                             timeoutMs);
+        if (r <= 0)
+            return;
+        for (size_t i = 0; i < pfds.size(); ++i) {
+            if (!(pfds[i].revents & (POLLIN | POLLHUP | POLLERR)))
+                continue;
+            const unsigned w = owners[i];
+            Slot &s = slots_[w];
+            char buf[1 << 16];
+            const ssize_t n = ::read(s.fromWorker, buf, sizeof(buf));
+            if (n < 0) {
+                if (errno == EINTR || errno == EAGAIN)
+                    continue;
+                streamDead(w);
+                continue;
+            }
+            if (n == 0) {
+                // EOF. Mid-frame bytes mean the worker died mid-send
+                // (a short frame); either way the worker is gone.
+                streamDead(w);
+                continue;
+            }
+            s.decoder.feed(buf, static_cast<size_t>(n));
+            drainFrames(w);
+        }
+    }
+
+    void drainFrames(unsigned w)
+    {
+        Slot &s = slots_[w];
+        ipc::Frame f;
+        for (;;) {
+            try {
+                // Receiver-side fault: an injected ipc.recv failure
+                // poisons this worker's stream, same as real garbage.
+                fault::point("ipc.recv");
+                if (!s.decoder.next(f))
+                    return;
+            } catch (const std::exception &) {
+                streamDead(w);
+                return;
+            }
+            TransportEvent ev;
+            ev.worker = w;
+            ipc::Unpack up(f.payload);
+            switch (f.type) {
+            case kResult:
+                ev.kind = TransportEvent::Kind::Result;
+                if (!up.u64(ev.unit) || !up.str(ev.bytes) ||
+                    !up.done()) {
+                    streamDead(w);
+                    return;
+                }
+                break;
+            case kUnitError:
+                ev.kind = TransportEvent::Kind::UnitError;
+                if (!up.u64(ev.unit) || !up.str(ev.bytes) ||
+                    !up.done()) {
+                    streamDead(w);
+                    return;
+                }
+                break;
+            case kHeartbeat:
+                ev.kind = TransportEvent::Kind::Heartbeat;
+                if (!up.u64(ev.unit)) {
+                    streamDead(w);
+                    return;
+                }
+                break;
+            case kHello:
+                continue; // benign (re-handshake noise)
+            default:
+                streamDead(w);
+                return;
+            }
+            queue_.push_back(std::move(ev));
+        }
+    }
+
+    void streamDead(unsigned w)
+    {
+        retire(slots_[w]);
+        TransportEvent ev;
+        ev.kind = TransportEvent::Kind::WorkerDied;
+        ev.worker = w;
+        queue_.push_back(std::move(ev));
+    }
+
+    TransportKind host_;
+    std::string exe_;
+    std::vector<std::string> childEnv_;
+    std::vector<char *> childEnvPtrs_;
+    std::vector<char *> childArgv_;
+    std::vector<Slot> slots_;
+    /** Threads of retired thread-host slots, joined at shutdown. */
+    std::vector<std::thread> retired_;
+    std::deque<TransportEvent> queue_;
+};
 
 } // namespace
 
@@ -777,8 +654,7 @@ maybeRunWorker()
 }
 
 std::string
-executeUnit(const corpus::CorpusShader &shader, uint64_t key,
-            unsigned threads)
+executeUnit(const corpus::CorpusShader &shader, uint64_t key)
 {
     const uint64_t expected = shardKey(shader, deviceSetKey());
     if (expected != key) {
@@ -798,8 +674,7 @@ executeUnit(const corpus::CorpusShader &shader, uint64_t key,
     // admission points defer to this outer budget.
     governor::ScopedRequestBudget admission;
 
-    ExperimentEngine engine({shader},
-                            threads == 0 ? 1u : threads);
+    ExperimentEngine engine({shader}, 1);
     if (!engine.health().healthy()) {
         // A worker never publishes a partial shard; surface the first
         // structured reason and let the coordinator decide.
@@ -859,12 +734,8 @@ CampaignCoordinator::CampaignCoordinator(
 const DistribHealth &
 CampaignCoordinator::run()
 {
-    std::unique_ptr<WorkerTransport> transport =
-        opts_.transport == TransportKind::Subprocess
-            ? makeSubprocessTransport(opts_.workers)
-            : makeInProcessTransport(opts_.workers,
-                                     opts_.workerThreads);
-    return run(*transport);
+    PipeTransport transport(opts_.transport, opts_.workers);
+    return run(transport);
 }
 
 const DistribHealth &
@@ -1166,16 +1037,18 @@ CampaignCoordinator::run(WorkerTransport &transport)
 }
 
 std::unique_ptr<WorkerTransport>
-makeInProcessTransport(unsigned workers, unsigned workerThreads)
+makeInProcessTransport(unsigned workers)
 {
-    return std::make_unique<InProcessTransport>(
-        workers == 0 ? defaultWorkerCount() : workers, workerThreads);
+    return std::make_unique<PipeTransport>(
+        TransportKind::InProcess,
+        workers == 0 ? defaultWorkerCount() : workers);
 }
 
 std::unique_ptr<WorkerTransport>
 makeSubprocessTransport(unsigned workers)
 {
-    return std::make_unique<SubprocessTransport>(
+    return std::make_unique<PipeTransport>(
+        TransportKind::Subprocess,
         workers == 0 ? defaultWorkerCount() : workers);
 }
 

@@ -34,15 +34,19 @@
  * completes on partial results; GSOPT_STRICT=1 turns the first unit
  * quarantine into a thrown error.
  *
- * Two transports implement WorkerTransport:
- *  - in-process threads (makeInProcessTransport): deterministic, no
- *    processes, used by tests and the bench;
- *  - spawned subprocesses over pipes (makeSubprocessTransport): the
- *    real distribution shape — each worker is a re-execution of
- *    /proc/self/exe speaking the support/ipc frame protocol on fds
- *    3 (commands in) and 4 (results out). Any binary that uses it
- *    MUST call distrib::maybeRunWorker() first thing in main() and
- *    return when it reports true.
+ * One transport implements WorkerTransport: every worker speaks the
+ * support/ipc frame protocol over a pair of pipes — hello handshake,
+ * heartbeats, the ipc.* fault sites and WorkerDied on EOF or a corrupt
+ * stream alike — in one of two hosts (TransportKind):
+ *  - a thread of this process (makeInProcessTransport): no child
+ *    processes, so tests run the whole protocol cheaply;
+ *  - a spawned subprocess (makeSubprocessTransport): the real
+ *    distribution shape — each worker is a re-execution of
+ *    /proc/self/exe reading commands on fd 3 and writing results on
+ *    fd 4. Any binary that uses it MUST call
+ *    distrib::maybeRunWorker() first thing in main() and return when
+ *    it reports true.
+ * Tests script the fault matrix through their own WorkerTransport.
  *
  * Knobs: GSOPT_DISTRIB_WORKERS (default worker count when
  * Options::workers is 0), GSOPT_LEASE_MS (default lease when
@@ -62,10 +66,12 @@
 
 namespace gsopt::tuner::distrib {
 
-/** Which WorkerTransport CampaignCoordinator::run constructs. */
+/** Where CampaignCoordinator::run hosts each worker. Both hosts run
+ * the same worker loop over the same frame protocol; only spawning,
+ * reaping and shutdown differ. */
 enum class TransportKind {
-    InProcess,  ///< worker threads in this process (deterministic)
-    Subprocess, ///< fork/exec'd workers over support/ipc pipes
+    InProcess,  ///< a thread of this process over a pipe pair
+    Subprocess, ///< a fork/exec'd re-execution of this binary
 };
 
 /** Coordinator configuration. */
@@ -80,10 +86,6 @@ struct Options
     uint64_t leaseMs = 0;
     /** Times a unit may be assigned before it is quarantined. */
     int maxAssignments = 3;
-    /** Thread count inside each worker's ExperimentEngine (the
-     * parallelism of the distributed campaign is across workers, so
-     * the default keeps each worker serial and deterministic). */
-    unsigned workerThreads = 1;
     /** Non-zero: deterministically shuffle the assignment order
      * (within the family-representative group and within the tail
      * separately — representatives always go first). Merge is keyed,
@@ -144,8 +146,9 @@ struct TransportEvent
     Kind kind = Kind::None;
     unsigned worker = 0;
     uint64_t unit = 0;
-    /** Delivery from a reaped worker generation (in-process workers
-     * cannot be killed; their late results surface as stale). */
+    /** Late delivery from a reaped worker. The make*Transport pools
+     * never set it (reaping closes the worker's stream, so nothing
+     * late arrives); only scripted transports produce stale events. */
     bool stale = false;
     std::string bytes;
 };
@@ -154,9 +157,10 @@ struct TransportEvent
  * The coordinator's view of a worker pool. Implementations must be
  * drivable from a single coordinator thread: assign() hands a unit to
  * one worker, poll() surfaces at most one event per call, reap()
- * forcibly retires a worker (kill for subprocesses; abandonment for
- * threads), revive() brings a retired slot back. Tests implement this
- * interface directly to script the fault matrix deterministically.
+ * forcibly retires a worker (kill for subprocesses; for threads,
+ * closing the coordinator's pipe ends), revive() brings a retired
+ * slot back. Tests implement this interface directly to script the
+ * fault matrix deterministically.
  */
 class WorkerTransport
 {
@@ -180,7 +184,7 @@ class WorkerTransport
 };
 
 std::unique_ptr<WorkerTransport>
-makeInProcessTransport(unsigned workers, unsigned workerThreads);
+makeInProcessTransport(unsigned workers);
 
 std::unique_ptr<WorkerTransport>
 makeSubprocessTransport(unsigned workers);
@@ -191,21 +195,21 @@ makeSubprocessTransport(unsigned workers);
  * Execute one unit exactly as a worker does: verify the shard key
  * (coordinator and worker must agree on registry/device/schema state —
  * a mismatch means environment drift and fails loudly), run a fresh
- * single-shader ExperimentEngine under a per-unit request budget, and
- * return its shardFileBytes. Throws on
+ * single-threaded, single-shader ExperimentEngine under a per-unit
+ * request budget, and return its shardFileBytes. Throws on
  * any failure, including a quarantined device item (a worker has no
  * business publishing a partial shard — the coordinator re-queues).
  */
 std::string executeUnit(const corpus::CorpusShader &shader,
-                        uint64_t key, unsigned threads);
+                        uint64_t key);
 
 /**
  * Subprocess worker entry point. When GSOPT_DISTRIB_WORKER_FDS is set
  * (by makeSubprocessTransport in the parent), runs the worker frame
  * loop over the inherited pipe fds until shutdown/EOF and returns
  * true — the caller must then exit without running anything else.
- * Returns false in a normal process. Every binary that may host a
- * SubprocessTransport calls this first thing in main():
+ * Returns false in a normal process. Every binary that may spawn
+ * subprocess workers calls this first thing in main():
  *
  *     int main(int argc, char **argv) {
  *         if (gsopt::tuner::distrib::maybeRunWorker()) return 0;

@@ -3,7 +3,7 @@
  * Distributed-campaign equivalence and fault-matrix suite.
  *
  * The load-bearing property: a coordinator/worker campaign — any
- * worker count, either transport, any assignment order, with or
+ * worker count, either worker host, any assignment order, with or
  * without injected faults — publishes a shard directory *byte
  * identical* (md5 per file) to a plain single-process
  * ExperimentEngine run over the same shaders. Faults may delay units
@@ -11,7 +11,7 @@
  * in the merged directory must be correct: torn, truncated, garbage,
  * wrong-key, and duplicate deliveries are exercised one by one
  * through a scripted transport, and en masse through randomized fault
- * plans over the real transports.
+ * plans over the real transport in both hosts.
  *
  * This binary hosts subprocess workers (re-executions of itself), so
  * main() diverts into maybeRunWorker() before gtest sees argv.
@@ -33,6 +33,7 @@
 #include "corpus/corpus.h"
 #include "support/fault.h"
 #include "support/rng.h"
+#include "support/strings.h"
 #include "test_md5.h"
 #include "test_scratch.h"
 #include "tuner/distrib.h"
@@ -70,14 +71,6 @@ miniCorpus()
         shaders.push_back(*s);
     }
     return shaders;
-}
-
-int
-tortureIters()
-{
-    if (const char *env = std::getenv("GSOPT_TORTURE_ITERS"))
-        return std::max(1, std::atoi(env));
-    return 3;
 }
 
 std::string
@@ -123,7 +116,7 @@ validUnitBytes(const corpus::CorpusShader &shader)
     auto quiet = quiesce();
     const uint64_t key =
         tuner::shardKey(shader, tuner::deviceSetKey());
-    return distrib::executeUnit(shader, key, 1);
+    return distrib::executeUnit(shader, key);
 }
 
 /** Every published file must be byte-identical to the reference copy
@@ -234,7 +227,7 @@ class FakeTransport final : public distrib::WorkerTransport
 // ----------------------------------------------------- equivalence
 
 /** Merged shard directories are byte-identical to the single-process
- * campaign for every worker count, both transports, and randomized
+ * campaign for every worker count, both worker hosts, and randomized
  * assignment orders. */
 TEST(DistribEquivalence, InProcessAnyWorkerCountAnyOrder)
 {
@@ -309,7 +302,7 @@ TEST(DistribEquivalence, WorkerRefusesMismatchedShardKey)
 {
     auto quiet = quiesce();
     const auto shaders = miniCorpus();
-    EXPECT_THROW(distrib::executeUnit(shaders[0], 0xdeadbeefull, 1),
+    EXPECT_THROW(distrib::executeUnit(shaders[0], 0xdeadbeefull),
                  std::runtime_error);
 }
 
@@ -542,20 +535,22 @@ TEST(DistribFaults, NoLiveWorkersTerminates)
     EXPECT_TRUE(dirDigest(dir.path()).empty());
 }
 
-/** In-process workers cannot heartbeat, so a stalled unit trips the
- * lease for real; its late (stale) delivery is still merged or
- * discarded safely, never corrupted. */
+/** A silent worker trips the lease for real: every frame send stalls
+ * (~0.5 s, ungoverned), so neither heartbeats nor the result land
+ * inside the 80 ms lease. Each assignment is reaped, the coordinator
+ * still terminates, and the merged directory holds only reference
+ * bytes. */
 TEST(DistribFaults, StalledInProcessUnitExpiresAndRecovers)
 {
     const auto shaders = miniCorpus();
     const std::vector<corpus::CorpusShader> one{shaders[0]};
     ScratchDir dir("stall");
     fault::ScopedFaultPlan plan(
-        fault::FaultPlan::parse("worker.item:1.0:21:stall"));
+        fault::FaultPlan::parse("ipc.send:1.0:21:stall"));
     distrib::Options opts;
     opts.workers = 1;
     opts.leaseMs = 80;
-    opts.maxAssignments = 50; // stalls keep completing eventually
+    opts.maxAssignments = 2; // every assignment stalls; keep it short
     distrib::CampaignCoordinator coord(one, dir.path(), opts);
     const distrib::DistribHealth &h = coord.run();
     EXPECT_GE(h.leaseExpiries, 1u);
@@ -568,10 +563,14 @@ TEST(DistribFaults, StalledInProcessUnitExpiresAndRecovers)
 
 // ------------------------------------------- subprocess fault shapes
 
-/** Deterministic worker kill mid-unit at the transport level: assign,
- * SIGKILL via reap(), revive, reassign — the replacement worker must
- * deliver the exact bytes. */
-TEST(DistribSubprocess, KilledWorkerRevivesAndDelivers)
+/** Deterministic worker reap mid-unit at the transport level: assign,
+ * reap(), revive, reassign — the replacement worker must deliver the
+ * exact bytes with no WorkerDied event, and shutdown() must return
+ * once the reaped worker is gone. @p makeTransport builds the pool. */
+void
+killedWorkerRevivesAndDelivers(
+    const std::function<std::unique_ptr<distrib::WorkerTransport>()>
+        &makeTransport)
 {
     auto quiet = quiesce();
     const auto shaders = miniCorpus();
@@ -579,7 +578,7 @@ TEST(DistribSubprocess, KilledWorkerRevivesAndDelivers)
     const uint64_t key =
         tuner::shardKey(shader, tuner::deviceSetKey());
 
-    auto transport = distrib::makeSubprocessTransport(1);
+    auto transport = makeTransport();
     distrib::WireUnit unit;
     unit.id = 7;
     unit.key = key;
@@ -587,7 +586,7 @@ TEST(DistribSubprocess, KilledWorkerRevivesAndDelivers)
     unit.shader = shader;
 
     ASSERT_TRUE(transport->assign(0, unit));
-    transport->reap(0); // SIGKILL mid-unit
+    transport->reap(0); // SIGKILL, or cut a thread off its pipes
     EXPECT_FALSE(transport->live(0));
     ASSERT_TRUE(transport->revive(0));
     ASSERT_TRUE(transport->assign(0, unit));
@@ -607,17 +606,33 @@ TEST(DistribSubprocess, KilledWorkerRevivesAndDelivers)
         ASSERT_NE(ev.kind, distrib::TransportEvent::Kind::WorkerDied);
     }
     EXPECT_TRUE(delivered);
-    transport->shutdown();
+    transport->shutdown(); // joins the reaped thread
 }
 
-/** Randomized fault torture over the real transports: ipc tears and
+/** The reap/revive contract holds in both worker hosts. */
+TEST(DistribSubprocess, KilledWorkerRevivesAndDelivers)
+{
+    {
+        SCOPED_TRACE("thread host");
+        killedWorkerRevivesAndDelivers(
+            [] { return distrib::makeInProcessTransport(1); });
+    }
+    {
+        SCOPED_TRACE("subprocess host");
+        killedWorkerRevivesAndDelivers(
+            [] { return distrib::makeSubprocessTransport(1); });
+    }
+}
+
+/** Randomized fault torture over thread-hosted workers: ipc tears and
  * failures, shard-write tears, worker faults. Whatever completes must
  * be byte-identical to the reference; a quiesced re-run over the same
  * directory finishes the job and converges to full equality. */
 TEST(DistribFaults, TortureConvergesToReferenceBytes)
 {
     const auto shaders = miniCorpus();
-    const int iters = tortureIters();
+    const int iters =
+        static_cast<int>(envUint("GSOPT_TORTURE_ITERS", 3, 1));
     for (int iter = 0; iter < iters; ++iter) {
         ScratchDir dir("torture_" + std::to_string(iter));
         Rng rng(0x7011e7 + iter);

@@ -25,6 +25,7 @@
 #include "support/fault.h"
 #include "support/retry.h"
 #include "support/rng.h"
+#include "support/strings.h"
 #include "test_scratch.h"
 #include "tuner/distrib.h"
 #include "tuner/experiment.h"
@@ -84,17 +85,6 @@ referenceBodies()
         return campaignBodies(engine);
     }();
     return bodies;
-}
-
-int
-tortureIters()
-{
-    if (const char *env = std::getenv("GSOPT_TORTURE_ITERS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0)
-            return static_cast<int>(n);
-    }
-    return 3;
 }
 
 // -------------------------------------------- fault registry units
@@ -632,7 +622,8 @@ TEST(Torture, FaultedCampaignBytesMatchFaultFreeRun)
     const fault::ScopedFaultPlan noAmbientFaults = quiesce();
     const auto shaders = miniCorpus();
     const auto &reference = referenceBodies();
-    const int iters = tortureIters();
+    const int iters =
+        static_cast<int>(envUint("GSOPT_TORTURE_ITERS", 3, 1));
 
     for (int iter = 0; iter < iters; ++iter) {
         // Randomized-but-deterministic plan: rates drawn per

@@ -58,6 +58,7 @@
 #include "support/governor.h"
 #include "support/ipc.h"
 #include "support/rng.h"
+#include "support/strings.h"
 #include "support/time.h"
 
 namespace gsopt {
@@ -67,12 +68,7 @@ namespace {
 int
 fuzzSeedCount()
 {
-    if (const char *env = std::getenv("GSOPT_FUZZ_ITERS")) {
-        const int n = std::atoi(env);
-        if (n > 0)
-            return n;
-    }
-    return 12;
+    return static_cast<int>(envUint("GSOPT_FUZZ_ITERS", 12, 1));
 }
 
 /** Emit a random float expression over the in-scope float scalars. */
@@ -395,12 +391,8 @@ TEST_P(RandomShader, RandomPlanWalkPreservesSemantics)
 
     // K random plans per seed: GSOPT_FUZZ_PLANS scales the nightly
     // depth the same way GSOPT_FUZZ_ITERS scales seed count.
-    int k_plans = 6;
-    if (const char *env = std::getenv("GSOPT_FUZZ_PLANS")) {
-        const int n = std::atoi(env);
-        if (n > 0)
-            k_plans = n;
-    }
+    const int k_plans =
+        static_cast<int>(envUint("GSOPT_FUZZ_PLANS", 6, 1));
     Rng rng(hashCombine(seed, fnv1a("random-plan-walk")));
     std::vector<passes::PassPlan> plans;
     for (int p = 0; p < k_plans; ++p) {
