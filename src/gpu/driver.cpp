@@ -1,12 +1,12 @@
 #include "gpu/driver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "emit/offline.h"
 #include "passes/passes.h"
@@ -19,74 +19,67 @@ namespace gsopt::gpu {
 
 namespace {
 
-/** One cached binary plus its position in the LRU order list. */
-struct CacheEntry
+/** Cap in texts when GSOPT_DRIVER_CACHE_CAP is unset: about 5x the
+ * 839 distinct texts of a full campaign over the 11-pass registry. */
+constexpr size_t kDefaultCacheCap = 4096;
+
+/** One cached text: its canonical front-end IR, shared by every
+ * device, the binaries compiled from it so far (one per device model
+ * key), and its position in the LRU order list. */
+struct TextEntry
 {
-    ShaderBinary bin;
+    std::shared_ptr<const ir::Module> canonical;
+    std::vector<std::pair<uint64_t, ShaderBinary>> binaries;
     std::list<uint64_t>::iterator lru;
+
+    const ShaderBinary *find(uint64_t deviceKey) const
+    {
+        for (const auto &[key, bin] : binaries)
+            if (key == deviceKey)
+                return &bin;
+        return nullptr;
+    }
 };
 
-std::shared_mutex cacheMutex;
-std::unordered_map<uint64_t, CacheEntry> cache;
-/** Cache keys, front = most recently used. Guarded by cacheMutex. */
+/** Everything below is guarded by cacheMutex. */
+std::mutex cacheMutex;
+std::unordered_map<uint64_t, TextEntry> cache;
+/** Text keys, front = most recently used. */
 std::list<uint64_t> lruOrder;
-std::atomic<uint64_t> cacheHits{0};
-std::atomic<uint64_t> cacheMisses{0};
-std::atomic<uint64_t> cacheCompileNs{0};
-std::atomic<uint64_t> cacheEvictions{0};
+/** Max texts; seeded from GSOPT_DRIVER_CACHE_CAP once at start-up. */
+const size_t startupCap =
+    static_cast<size_t>(envUint("GSOPT_DRIVER_CACHE_CAP",
+                                kDefaultCacheCap, 1));
+size_t cacheCap = startupCap;
+uint64_t cacheHits = 0;
+uint64_t cacheMisses = 0;
+uint64_t cacheCompileNs = 0;
+uint64_t cacheEvictions = 0;
 
-/** Max entries, 0 = unbounded (the historical default). Seeded from
- * GSOPT_DRIVER_CACHE_CAP once at start-up; setDriverCacheCap after. */
-std::atomic<size_t> cacheCap{
-    static_cast<size_t>(envUint("GSOPT_DRIVER_CACHE_CAP", 0))};
-
-/** Evict LRU entries beyond the cap. Caller holds cacheMutex unique. */
+/** Evict LRU texts beyond the cap. Caller holds cacheMutex. */
 void
 evictOverCapLocked()
 {
-    const size_t cap = cacheCap.load(std::memory_order_relaxed);
-    if (cap == 0)
-        return;
-    while (cache.size() > cap) {
-        const uint64_t victim = lruOrder.back();
+    while (cache.size() > cacheCap) {
+        cache.erase(lruOrder.back());
         lruOrder.pop_back();
-        cache.erase(victim);
-        cacheEvictions.fetch_add(1, std::memory_order_relaxed);
+        ++cacheEvictions;
     }
 }
 
-/** Front-end sharing across devices: the driver's parse+lower of a
- * given text is device-independent, so a campaign compiling one
- * variant on five devices parses it once and clones the IR per device
- * for the vendor pass set. Entries are immutable once inserted (vendor
- * passes always run on a clone). Unbounded by default — a full
- * campaign tops out at a few hundred unique texts x 5 devices. For
- * longer-lived processes the binary cache above is LRU-boundable
- * (setDriverCacheCap / GSOPT_DRIVER_CACHE_CAP) and clearDriverCache()
- * drops both. */
-std::mutex irCacheMutex;
-std::unordered_map<uint64_t, std::unique_ptr<ir::Module>> irCache;
-
+/** The driver's device-independent front end: parse, lower and
+ * canonicalize. Every real driver folds constants and CSEs first, so
+ * all devices share this result and the vendor passes start after
+ * it. */
 std::unique_ptr<ir::Module>
-frontEndIr(const std::string &glslSource)
+frontEnd(const std::string &glslSource)
 {
-    const uint64_t key = fnv1a(glslSource);
-    {
-        std::lock_guard lock(irCacheMutex);
-        auto it = irCache.find(key);
-        if (it != irCache.end())
-            return it->second->clone();
-    }
     auto module = emit::compileToIr(glslSource);
-    auto result = module->clone();
-    {
-        std::lock_guard lock(irCacheMutex);
-        irCache.try_emplace(key, std::move(module));
-    }
-    return result;
+    passes::canonicalize(*module);
+    return module;
 }
 
-/** Vendor pass set + cost model over an already-parsed module. */
+/** Vendor pass set + cost model over a canonical module. */
 ShaderBinary compileIr(ir::Module &module, const DeviceModel &device);
 
 } // namespace
@@ -94,54 +87,52 @@ ShaderBinary compileIr(ir::Module &module, const DeviceModel &device);
 ShaderBinary
 driverCompile(const std::string &glslSource, const DeviceModel &device)
 {
-    const uint64_t key =
-        hashCombine(fnv1a(glslSource), deviceModelKey(device));
-    if (cacheCap.load(std::memory_order_relaxed) == 0) {
-        // Unbounded (default): lock-shared read path, no recency
-        // maintenance needed — nothing is ever evicted.
-        std::shared_lock lock(cacheMutex);
-        auto it = cache.find(key);
+    const uint64_t textKey = fnv1a(glslSource);
+    const uint64_t deviceKey = deviceModelKey(device);
+    std::shared_ptr<const ir::Module> canonical;
+    {
+        std::lock_guard lock(cacheMutex);
+        auto it = cache.find(textKey);
         if (it != cache.end()) {
-            cacheHits.fetch_add(1, std::memory_order_relaxed);
-            return it->second.bin;
-        }
-    } else {
-        // Capped: a hit must refresh recency, which mutates the LRU
-        // list — the hit path pays for the exclusive lock only when a
-        // cap is actually configured.
-        std::unique_lock lock(cacheMutex);
-        auto it = cache.find(key);
-        if (it != cache.end()) {
-            cacheHits.fetch_add(1, std::memory_order_relaxed);
-            lruOrder.splice(lruOrder.begin(), lruOrder,
-                            it->second.lru);
-            return it->second.bin;
+            TextEntry &entry = it->second;
+            lruOrder.splice(lruOrder.begin(), lruOrder, entry.lru);
+            if (const ShaderBinary *bin = entry.find(deviceKey)) {
+                ++cacheHits;
+                return *bin;
+            }
+            canonical = entry.canonical;
         }
     }
-    // Miss: front end via the cross-device IR cache (parse each unique
-    // text once, vendor passes on a clone), then the vendor pipeline.
-    // Flaky real drivers fail here, on actual compiles — never on a
-    // binary-cache hit — so the fault site guards only the fill path.
+    // Binary miss. Flaky real drivers fail here, on actual compiles —
+    // never on a hit — so the fault site guards only this path, even
+    // when the text's front end is already cached. The vendor passes
+    // run on a clone taken outside the lock; holding the shared_ptr
+    // keeps the canonical module alive if the text is evicted
+    // meanwhile.
     fault::point("driver.compile", device.name);
     const uint64_t t0 = nowNs();
-    auto module = frontEndIr(glslSource);
-    ShaderBinary bin = compileIr(*module, device);
-    cacheCompileNs.fetch_add(nowNs() - t0, std::memory_order_relaxed);
+    if (!canonical)
+        canonical = frontEnd(glslSource);
+    ShaderBinary bin = compileIr(*canonical->clone(), device);
+    const uint64_t ns = nowNs() - t0;
     {
-        std::unique_lock lock(cacheMutex);
-        cacheMisses.fetch_add(1, std::memory_order_relaxed);
-        auto [it, inserted] = cache.try_emplace(key);
+        std::lock_guard lock(cacheMutex);
+        ++cacheMisses;
+        cacheCompileNs += ns;
+        auto [it, inserted] = cache.try_emplace(textKey);
+        TextEntry &entry = it->second;
         if (inserted) {
-            lruOrder.push_front(key);
-            it->second.bin = bin;
-            it->second.lru = lruOrder.begin();
-            evictOverCapLocked();
+            lruOrder.push_front(textKey);
+            entry.lru = lruOrder.begin();
+            entry.canonical = std::move(canonical);
         } else {
-            // Another thread filled this key while we compiled; its
-            // entry is identical (deterministic compile) — just touch.
-            lruOrder.splice(lruOrder.begin(), lruOrder,
-                            it->second.lru);
+            lruOrder.splice(lruOrder.begin(), lruOrder, entry.lru);
         }
+        // Another thread may have filled this device while we
+        // compiled; its binary is identical (deterministic compile).
+        if (!entry.find(deviceKey))
+            entry.binaries.emplace_back(deviceKey, bin);
+        evictOverCapLocked();
     }
     return bin;
 }
@@ -149,28 +140,23 @@ driverCompile(const std::string &glslSource, const DeviceModel &device)
 DriverCacheStats
 driverCacheStats()
 {
-    std::shared_lock lock(cacheMutex);
-    return {cacheHits,      cacheMisses,
-            cache.size(),   cacheCompileNs,
-            cacheEvictions, cacheCap.load(std::memory_order_relaxed)};
+    std::lock_guard lock(cacheMutex);
+    return {cacheHits,      cacheMisses, cache.size(), cacheCompileNs,
+            cacheEvictions, cacheCap};
 }
 
 void
 setDriverCacheCap(size_t cap)
 {
-    std::unique_lock lock(cacheMutex);
-    cacheCap.store(cap, std::memory_order_relaxed);
+    std::lock_guard lock(cacheMutex);
+    cacheCap = cap == 0 ? startupCap : cap;
     evictOverCapLocked();
 }
 
 void
 clearDriverCache()
 {
-    {
-        std::lock_guard lock(irCacheMutex);
-        irCache.clear();
-    }
-    std::unique_lock lock(cacheMutex);
+    std::lock_guard lock(cacheMutex);
     cache.clear();
     lruOrder.clear();
     cacheHits = 0;
@@ -183,9 +169,7 @@ ShaderBinary
 driverCompileUncached(const std::string &glslSource,
                       const DeviceModel &device)
 {
-    // Front end: the driver parses whatever text it is given.
-    auto module = emit::compileToIr(glslSource);
-    return compileIr(*module, device);
+    return compileIr(*frontEnd(glslSource), device);
 }
 
 namespace {
@@ -195,12 +179,11 @@ compileIr(ir::Module &moduleRef, const DeviceModel &device)
 {
     ir::Module *module = &moduleRef;
 
-    // Vendor optimization set. Every real driver folds constants and
-    // CSEs (canonicalize); the flags encode what else this vendor's
-    // stack can do. Structural transforms (unroll, hoist) apply the
-    // vendor's own heuristics' budgets — unlike the offline tool's
+    // Vendor optimization set over the canonical module frontEnd()
+    // produced. The flags encode what this vendor's stack can do
+    // beyond canonicalize. Structural transforms (unroll, hoist) apply
+    // the vendor's own heuristics' budgets — unlike the offline tool's
     // unconditional versions.
-    passes::canonicalize(*module);
     if (device.jitFlags.unroll && device.jitUnrollTrips > 0) {
         passes::unroll(*module, device.jitUnrollTrips,
                        device.jitUnrollInstrs);

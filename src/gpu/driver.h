@@ -40,14 +40,15 @@ struct ShaderBinary
  * Compile GLSL source exactly as the vendor driver would. Throws
  * gsopt::CompileError on invalid source.
  *
- * Compilations are memoised in a process-wide content-addressed cache
- * keyed by (source-text hash, device-configuration hash): across a
- * whole measurement campaign each unique variant text is compiled once
- * per device instead of once per measurement — the real-driver analogue
- * of the GL shader binary cache. The key covers every compilation- and
- * cost-relevant device parameter, so ablation studies that tweak a
- * model (e.g. disabling its JIT passes) never alias with the stock
- * model. Thread-safe.
+ * Compilations are memoised in one process-wide, LRU-bounded cache
+ * keyed by source text (its hash) — the real-driver analogue of the GL
+ * shader binary cache. Each cached text holds its canonical front-end
+ * IR (parse, lower, canonicalize: device-independent, so a campaign
+ * compiling one variant on five devices runs it once) and the binaries
+ * compiled from it so far, one per device configuration. The device
+ * key (deviceModelKey) covers every compilation- and cost-relevant
+ * parameter, so ablation studies that tweak a model (e.g. disabling
+ * its JIT passes) never alias with the stock model. Thread-safe.
  */
 ShaderBinary driverCompile(const std::string &glslSource,
                            const DeviceModel &device);
@@ -60,30 +61,27 @@ ShaderBinary driverCompileUncached(const std::string &glslSource,
 /** Cumulative cache statistics since process start (or last reset). */
 struct DriverCacheStats
 {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t entries = 0;
+    uint64_t hits = 0;       ///< (text, device) binaries served
+    uint64_t misses = 0;     ///< binaries compiled
+    uint64_t entries = 0;    ///< cached texts
     uint64_t compileNs = 0;  ///< time spent in uncached fills
-    uint64_t evictions = 0;  ///< entries LRU-evicted over the cap
-    uint64_t capacity = 0;   ///< current cap (0 = unbounded)
+    uint64_t evictions = 0;  ///< texts LRU-evicted over the cap
+    uint64_t capacity = 0;   ///< current cap in texts (never 0)
 };
 
 DriverCacheStats driverCacheStats();
 
 /**
- * Bound the binary cache to at most @p cap entries, evicting least-
- * recently-used entries beyond it (0 restores the default unbounded
- * behaviour). A campaign never needs a cap — it tops out at a few
- * hundred unique texts x 5 devices — but a long-lived tuner daemon
- * serving open-ended traffic does; this is its pressure valve (ROADMAP
- * daemon item). Also settable at start-up via GSOPT_DRIVER_CACHE_CAP
- * (a malformed value aborts).
- * Shrinking below the current entry count evicts immediately.
- * Thread-safe.
+ * Bound the cache to at most @p cap texts, evicting least-recently-
+ * used texts (with every device's binary) beyond it. The cache is
+ * always bounded: the start-up cap is GSOPT_DRIVER_CACHE_CAP (a
+ * malformed or zero value aborts), else 4096 texts, about 5x a full
+ * campaign; @p cap 0 restores that start-up cap. Shrinking below the
+ * current entry count evicts immediately. Thread-safe.
  */
 void setDriverCacheCap(size_t cap);
 
-/** Drop all cached binaries and zero the stats (benchmarks only).
+/** Drop all cached texts and zero the stats (benchmarks only).
  * The configured capacity is config, not a stat: it survives. */
 void clearDriverCache();
 

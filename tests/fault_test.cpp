@@ -179,6 +179,49 @@ TEST(FaultRegistry, TearPointReturnsStrictPrefixAndCounts)
     EXPECT_EQ(fault::siteStats("driver.compile").evaluations, 0u);
 }
 
+TEST(FaultRegistry, DriverCompileDrawsOnBinaryMissesOnly)
+{
+    // The driver.compile site guards real compiles: a (text, device)
+    // hit never draws, a cached text on a new device compiles and
+    // draws once, and so does a text the cap evicted.
+    const fault::ScopedFaultPlan noAmbientFaults = quiesce();
+    gpu::clearDriverCache();
+    struct RestoreCap
+    {
+        ~RestoreCap()
+        {
+            gpu::setDriverCacheCap(0);
+            gpu::clearDriverCache();
+        }
+    } restore;
+    const std::string text = "out vec4 frag;\n"
+                             "void main() { frag = vec4(0.5); }\n";
+    const std::string gone = "out vec4 frag;\n"
+                             "void main() { frag = vec4(0.75); }\n";
+    const gpu::DeviceModel &nv = gpu::deviceModel(gpu::DeviceId::Nvidia);
+    const gpu::DeviceModel &arm = gpu::deviceModel(gpu::DeviceId::Arm);
+    gpu::setDriverCacheCap(1);
+    gpu::driverCompile(gone, nv);
+    gpu::driverCompile(text, nv); // evicts gone
+    ASSERT_EQ(gpu::driverCacheStats().evictions, 1u);
+
+    fault::ScopedFaultPlan plan("driver.compile:1:1");
+    auto draws = [] {
+        return fault::siteStats("driver.compile").evaluations;
+    };
+    uint64_t before = draws();
+    EXPECT_NO_THROW(gpu::driverCompile(text, nv));
+    EXPECT_EQ(draws(), before);
+
+    before = draws();
+    EXPECT_THROW(gpu::driverCompile(text, arm), fault::TransientError);
+    EXPECT_EQ(draws(), before + 1);
+
+    before = draws();
+    EXPECT_THROW(gpu::driverCompile(gone, nv), fault::TransientError);
+    EXPECT_EQ(draws(), before + 1);
+}
+
 // ------------------------------------------------------ retry units
 
 TEST(Retry, SucceedsAfterTransientFailures)

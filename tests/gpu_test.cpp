@@ -6,6 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include "emit/offline.h"
 #include "gpu/codegen.h"
 #include "gpu/device.h"
@@ -18,6 +23,36 @@ const DeviceModel &
 dev(DeviceId id)
 {
     return deviceModel(id);
+}
+
+/** Restores the start-up cache cap and empties the cache on scope
+ * exit, for tests that take exclusive use of the process-wide cache. */
+struct RestoreCacheCap
+{
+    ~RestoreCacheCap()
+    {
+        setDriverCacheCap(0);
+        clearDriverCache();
+    }
+};
+
+/** Every field of @p b as raw bits, for bit-for-bit comparison. */
+std::vector<uint64_t>
+binaryBits(const ShaderBinary &b)
+{
+    std::vector<uint64_t> bits;
+    for (double d : {b.cost.aluCycles, b.cost.movCycles,
+                     b.cost.loadStoreCycles, b.cost.branchCycles,
+                     b.cost.texIssueCycles, b.cost.maxLiveRegs,
+                     b.spilledRegs, b.occupancyWaves, b.texStallCycles,
+                     b.icacheStallCycles, b.cyclesPerFragment}) {
+        uint64_t u = 0;
+        std::memcpy(&u, &d, sizeof(u));
+        bits.push_back(u);
+    }
+    bits.push_back(static_cast<uint64_t>(b.cost.textureCount));
+    bits.push_back(b.cost.instructionCount);
+    return bits;
 }
 
 TEST(Device, AllFiveConfigured)
@@ -90,22 +125,17 @@ TEST(Driver, CompileCacheHitsOnRepeatedTextDevicePairs)
 TEST(Driver, CompileCacheLruBoundEvictsColdEntries)
 {
     // Exclusive use of the process-wide cache: start empty, restore
-    // the unbounded default on every exit path.
+    // the start-up cap on every exit path.
     clearDriverCache();
-    struct Uncap
-    {
-        ~Uncap()
-        {
-            setDriverCacheCap(0);
-            clearDriverCache();
-        }
-    } uncap;
+    RestoreCacheCap restore;
+    const uint64_t startupCap = driverCacheStats().capacity;
 
     auto src = [](int i) {
         return "in vec2 uv; out vec4 c; void main() { c = vec4(uv, " +
                std::to_string(i) + ".0 / 8.0, 1.0); }";
     };
     const DeviceModel &nv = dev(DeviceId::Nvidia);
+    const DeviceModel &arm = dev(DeviceId::Arm);
 
     setDriverCacheCap(3);
     EXPECT_EQ(driverCacheStats().capacity, 3u);
@@ -136,18 +166,105 @@ TEST(Driver, CompileCacheLruBoundEvictsColdEntries)
     EXPECT_EQ(s.entries, 3u);
     EXPECT_EQ(s.evictions, 2u);
 
-    // Shrinking the cap evicts immediately; 0 restores unbounded.
+    // Entries are texts: a second device on a cached text compiles a
+    // binary (a miss) but adds no entry and evicts nothing.
+    driverCompile(src(1), arm);
+    s = driverCacheStats();
+    EXPECT_EQ(s.misses, misses_before + 2);
+    EXPECT_EQ(s.entries, 3u);
+    EXPECT_EQ(s.evictions, 2u);
+    driverCompile(src(1), arm);
+    EXPECT_EQ(driverCacheStats().hits, hits_before + 2);
+
+    // Evicting a text drops every device's binary. Recency is now
+    // src(1), src(0), src(3); touch src(0) and src(3) so src(1) is the
+    // victim of the next new text, then ask for src(1) on both devices.
+    driverCompile(src(0), nv);
+    driverCompile(src(3), nv);
+    driverCompile(src(4), nv);
+    s = driverCacheStats();
+    EXPECT_EQ(s.evictions, 3u);
+    driverCompile(src(1), nv);
+    driverCompile(src(1), arm);
+    s = driverCacheStats();
+    EXPECT_EQ(s.misses, misses_before + 5);
+    EXPECT_EQ(s.entries, 3u);
+    EXPECT_EQ(s.evictions, 4u); // src(1)'s refill evicted src(0)
+
+    // Shrinking the cap evicts immediately; 0 restores the start-up
+    // cap, which is never unbounded.
     setDriverCacheCap(1);
     s = driverCacheStats();
     EXPECT_EQ(s.entries, 1u);
-    EXPECT_EQ(s.evictions, 4u);
+    EXPECT_EQ(s.evictions, 6u);
     setDriverCacheCap(0);
     for (int i = 0; i < 8; ++i)
         driverCompile(src(i), nv);
     s = driverCacheStats();
     EXPECT_EQ(s.entries, 8u);
-    EXPECT_EQ(s.evictions, 4u);
-    EXPECT_EQ(s.capacity, 0u);
+    EXPECT_EQ(s.evictions, 6u);
+    EXPECT_EQ(s.capacity, startupCap);
+    EXPECT_GT(s.capacity, 0u);
+    if (std::getenv("GSOPT_DRIVER_CACHE_CAP") == nullptr) {
+        EXPECT_EQ(s.capacity, 4096u);
+    }
+}
+
+TEST(Driver, ConcurrentCompilesUnderEvictionMatchUncached)
+{
+    // Four threads compile the same texts on all five devices at cap
+    // 2, so texts are evicted while other threads are compiling from
+    // their canonical IR. Every binary must equal the uncached path's.
+    clearDriverCache();
+    RestoreCacheCap restore;
+
+    std::vector<std::string> texts;
+    for (int i = 0; i < 5; ++i)
+        texts.push_back(
+            "in vec2 uv; out vec4 c; void main() { vec4 acc = "
+            "vec4(0.0); for (int k = 0; k < 4; ++k) { acc += vec4(uv, "
+            "float(k) * " +
+            std::to_string(i + 1) +
+            ".0, 1.0); } c = acc * acc.x + vec4(uv.y); }");
+    const std::vector<DeviceId> devices = allDevices();
+    std::vector<std::vector<uint64_t>> expected;
+    for (const std::string &t : texts)
+        for (DeviceId id : devices)
+            expected.push_back(
+                binaryBits(driverCompileUncached(t, dev(id))));
+
+    setDriverCacheCap(2);
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 3;
+    std::vector<std::vector<std::vector<uint64_t>>> got(kThreads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            // Each thread walks the (text, device) pairs from its own
+            // offset so fills and evictions interleave.
+            const size_t n = expected.size();
+            got[t].resize(n);
+            for (int r = 0; r < kRounds; ++r) {
+                for (size_t j = 0; j < n; ++j) {
+                    const size_t k = (j + static_cast<size_t>(t) * 7) % n;
+                    got[t][k] = binaryBits(driverCompile(
+                        texts[k / devices.size()],
+                        dev(devices[k % devices.size()])));
+                }
+            }
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+
+    for (int t = 0; t < kThreads; ++t)
+        for (size_t k = 0; k < expected.size(); ++k)
+            EXPECT_EQ(got[t][k], expected[k])
+                << "thread " << t << " text " << k / devices.size()
+                << " device " << k % devices.size();
+    const DriverCacheStats s = driverCacheStats();
+    EXPECT_LE(s.entries, 2u);
+    EXPECT_GT(s.evictions, 0u);
 }
 
 TEST(Codegen, ScalarIsaPaysPerLane)

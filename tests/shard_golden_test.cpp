@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "corpus/corpus.h"
+#include "gpu/driver.h"
 #include "test_md5.h"
 #include "tuner/experiment.h"
 
@@ -58,14 +59,31 @@ TEST(ShardGolden, ThreeShaderCampaignBytesMatchSeed)
     std::vector<corpus::CorpusShader> shaders;
     for (const Golden &g : kGoldens)
         shaders.push_back(*corpus::findShader(g.shader));
-    tuner::ExperimentEngine engine(shaders, /*threads=*/1);
-    ASSERT_EQ(engine.results().size(), std::size(kGoldens));
+    struct RestoreCap
+    {
+        ~RestoreCap() { gpu::setDriverCacheCap(0); }
+    } restore;
 
-    for (const Golden &g : kGoldens) {
-        const tuner::ShaderResult &r = engine.result(g.shader);
-        const std::string body = tuner::serializeShardBody(r);
-        EXPECT_EQ(body.size(), g.bodyBytes) << g.shader;
-        EXPECT_EQ(md5Hex(body), g.md5) << g.shader;
+    // The driver cache cap is one more input: the bytes must match at
+    // the start-up cap (0 restores it) and at cap 1, where a serial
+    // engine, measuring device-major within a shader, evicts every
+    // text before the next device reaches it.
+    for (size_t cap : {size_t{0}, size_t{1}}) {
+        SCOPED_TRACE("driver cache cap " + std::to_string(cap));
+        gpu::setDriverCacheCap(cap);
+        gpu::clearDriverCache();
+        tuner::ExperimentEngine engine(shaders, /*threads=*/1);
+        ASSERT_EQ(engine.results().size(), std::size(kGoldens));
+
+        for (const Golden &g : kGoldens) {
+            const tuner::ShaderResult &r = engine.result(g.shader);
+            const std::string body = tuner::serializeShardBody(r);
+            EXPECT_EQ(body.size(), g.bodyBytes) << g.shader;
+            EXPECT_EQ(md5Hex(body), g.md5) << g.shader;
+        }
+        if (cap == 1) {
+            EXPECT_GT(gpu::driverCacheStats().evictions, 0u);
+        }
     }
 }
 
