@@ -1,15 +1,16 @@
 /**
  * @file
  * Campaign scaling trajectory for the sharded work-queue engine: runs
- * the same (shader x device) campaign at 1 and 2 workers plus the
- * machine default (GSOPT_THREADS / hardware_concurrency), reports
- * wall-clock per configuration, and verifies the outputs are
- * bit-identical across thread counts (the engine's core invariant —
- * per-item result slots, deterministic measurement seeds).
+ * the same campaign (one task per shader, each measuring every device)
+ * at 1 and 2 workers plus the machine default (GSOPT_THREADS /
+ * hardware_concurrency), reports wall-clock per configuration, and
+ * verifies the outputs are bit-identical across thread counts (the
+ * engine's core invariant — per-shader result slots, deterministic
+ * measurement seeds).
  *
  * The driver compile cache is cleared before every configuration so
  * each one pays the same cold-compile work; campaign results land in
- * per-item slots, so scaling is pure scheduling.
+ * per-shader slots, so scaling is pure scheduling.
  *
  * Pass --full to run the entire corpus instead of the probe set.
  */

@@ -1,5 +1,6 @@
 #include "glsl/parser.h"
 
+#include <cstdint>
 #include <optional>
 
 #include "support/governor.h"
@@ -32,6 +33,7 @@ class Parser
 
     Shader parse()
     {
+        stackBase_ = stackPosition();
         Shader shader;
         while (!peek().is(TokKind::End)) {
             size_t before = pos_;
@@ -84,13 +86,25 @@ class Parser
     void error(const std::string &msg) { diags_.error(peek().loc, msg); }
 
     // -- nesting governance ----------------------------------------------
-    // Recursive descent turns input nesting into C++ stack depth. The
-    // built-in cap turns a nesting bomb into a clean diagnostic well
-    // before the stack overflows (even ungoverned); the governed cap
+    // Recursive descent turns input nesting into C++ stack depth: one
+    // paren level is about eleven descent frames, whose size depends
+    // on the build (about 1 KB a level at RelWithDebInfo, about 13 KB
+    // under ASan). Two built-in caps turn a nesting bomb into a clean
+    // diagnostic well before an 8 MB stack overflows (even
+    // ungoverned), whichever trips first: kMaxNesting levels, which
+    // binds in optimised builds, and kMaxStackBytes of stack below
+    // parse(), which holds whatever the frame size. The governed cap
     // (Dim::ParseDepth) lets a budget reject far shallower with a
     // structured ResourceExhausted. Depth counts statement and
     // expression levels combined.
     static constexpr int kMaxNesting = 1024;
+    static constexpr uintptr_t kMaxStackBytes = uintptr_t{2} << 20;
+
+    /** Current stack position; the stack grows down. */
+    static uintptr_t stackPosition()
+    {
+        return reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+    }
     struct NestingGuard
     {
         Parser &p;
@@ -106,12 +120,15 @@ class Parser
          * return a stub without recursing further. */
         bool tooDeep() const
         {
-            if (p.depth_ <= kMaxNesting)
+            const uintptr_t used = p.stackBase_ - stackPosition();
+            if (p.depth_ <= kMaxNesting && used <= kMaxStackBytes)
                 return false;
             if (!p.deepDiagnosed_) {
                 p.deepDiagnosed_ = true;
                 p.error("nesting too deep (more than " +
-                        std::to_string(kMaxNesting) + " levels)");
+                        std::to_string(kMaxNesting) + " levels or " +
+                        std::to_string(kMaxStackBytes >> 10) +
+                        " KiB of parser stack)");
             }
             return true;
         }
@@ -804,6 +821,7 @@ class Parser
     DiagEngine &diags_;
     size_t pos_ = 0;
     int depth_ = 0;
+    uintptr_t stackBase_ = 0;
     bool deepDiagnosed_ = false;
 };
 

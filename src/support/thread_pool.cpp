@@ -21,8 +21,7 @@ defaultThreadCount()
 
 void
 parallelFor(size_t items, unsigned threads,
-            const std::function<void(size_t)> &fn,
-            const std::function<void(size_t)> &onItemDone)
+            const std::function<void(size_t)> &fn)
 {
     if (items == 0)
         return;
@@ -32,11 +31,8 @@ parallelFor(size_t items, unsigned threads,
         threads = static_cast<unsigned>(items);
 
     if (threads <= 1) {
-        for (size_t i = 0; i < items; ++i) {
+        for (size_t i = 0; i < items; ++i)
             fn(i);
-            if (onItemDone)
-                onItemDone(i);
-        }
         return;
     }
 
@@ -54,8 +50,6 @@ parallelFor(size_t items, unsigned threads,
                 return;
             try {
                 fn(i);
-                if (onItemDone)
-                    onItemDone(i);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(error_mutex);
                 if (!first_error)

@@ -24,22 +24,20 @@ unsigned defaultThreadCount();
 /**
  * Run @p fn(i) for every i in [0, items) on a pool of @p threads
  * std::threads sharing an atomic work queue. Items are claimed in
- * order but may complete out of order — callers must write results to
- * per-item slots (never append) so the outcome is identical for any
- * thread count. @p threads == 0 means defaultThreadCount(); one item
- * or one thread runs inline with no spawn. If @p fn throws, workers
- * stop claiming new items (in-flight items finish) and the first
- * exception is rethrown after the pool joins.
- *
- * @p onItemDone, when provided, runs on the worker thread immediately
- * after fn(i) returns normally — the per-item completion hook the
- * campaign engine uses for incremental shard checkpointing. It is not
- * called for an item whose fn threw; if the hook itself throws, the
- * item counts as failed under the same first-error semantics.
+ * index order (strictly one after another on one thread) but may
+ * complete out of order — callers must write results to per-item
+ * slots (never append) so the outcome is identical for any thread
+ * count. An item is a whole task: anything that must follow it (the
+ * campaign engine's shard checkpoint) belongs at the end of fn(i), and
+ * items should not wait on each other — the campaign engine therefore
+ * makes one shader, not one (shader, device) pair, an item.
+ * @p threads == 0 means defaultThreadCount(); one item or one thread
+ * runs inline with no spawn. If @p fn throws, workers stop claiming
+ * new items (in-flight items finish) and the first exception is
+ * rethrown after the pool joins.
  */
 void parallelFor(size_t items, unsigned threads,
-                 const std::function<void(size_t)> &fn,
-                 const std::function<void(size_t)> &onItemDone = {});
+                 const std::function<void(size_t)> &fn);
 
 } // namespace gsopt
 

@@ -1,10 +1,10 @@
 #include "tuner/experiment.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -221,10 +221,10 @@ ExperimentEngine::ExperimentEngine(
     std::error_code dir_ec;
     fs::create_directories(cacheDir, dir_ec);
 
-    // Checkpoint each shard the moment its last device item completes
-    // (called from worker threads; each shader writes a distinct
-    // file), so a killed campaign resumes from the shards it finished
-    // instead of re-running everything.
+    // Checkpoint each shard as its shader's task ends (called from
+    // worker threads; each shader writes a distinct file), so a killed
+    // campaign resumes from the shards it finished instead of
+    // re-running everything.
     auto checkpoint = [&](size_t i) {
         if (dir_ec)
             return;
@@ -255,31 +255,7 @@ ExperimentEngine::runShaders(
     const std::function<void(size_t)> &checkpoint)
 {
     const std::vector<gpu::DeviceId> devices = gpu::allDevices();
-    const size_t n_dev = devices.size();
-    const size_t n_items = indices.size() * n_dev;
-
-    // One exploration per shader, triggered by the first (shader x
-    // device) item scheduled for it; later items for the same shader
-    // block on the same once_flag instead of re-exploring.
-    std::unique_ptr<std::once_flag[]> explored(
-        new std::once_flag[indices.size()]);
-
-    // Per-item result slots: workers never append to shared state, so
-    // the campaign output is identical for any thread count and any
-    // item completion order.
-    std::vector<DeviceMeasurement> slots(n_items);
-
-    // Per-shader completion countdown (drives the incremental
-    // checkpoint) and a quarantine-free flag: only a shader whose
-    // items all completed cleanly is checkpointed.
-    std::unique_ptr<std::atomic<size_t>[]> remaining(
-        new std::atomic<size_t>[indices.size()]);
-    std::unique_ptr<std::atomic<bool>[]> clean(
-        new std::atomic<bool>[indices.size()]);
-    for (size_t si = 0; si < indices.size(); ++si) {
-        remaining[si].store(n_dev, std::memory_order_relaxed);
-        clean[si].store(true, std::memory_order_relaxed);
-    }
+    const size_t n_items = indices.size() * devices.size();
 
     // GSOPT_STRICT=1 restores fail-fast: the first item error aborts
     // the campaign (CI wants a loud failure, not a quarantine).
@@ -288,9 +264,12 @@ ExperimentEngine::runShaders(
 
     std::mutex health_mutex;
 
-    auto run_item = [&](size_t item) {
-        const size_t si = item / n_dev;
-        const size_t di = item % n_dev;
+    // One (shader, device) item: the unit of admission, fault
+    // injection, retry and quarantine. Explores the shader first if no
+    // earlier item of its task did; an exploration that throws is
+    // retried by the next attempt or item.
+    auto run_item = [&](size_t si, gpu::DeviceId dev, bool &explored,
+                        DeviceMeasurement &m) {
         const corpus::CorpusShader &shader = shaders[indices[si]];
         ShaderResult &r = results_[indices[si]];
 
@@ -305,21 +284,21 @@ ExperimentEngine::runShaders(
 
         fault::point("worker.item", shader.name);
 
-        std::call_once(explored[si], [&] {
+        if (!explored) {
             r.exploration = exploreShader(shader);
-        });
+            explored = true;
+        }
 
         // Drivers receive what an application would ship: the
         // original preprocessed text (real engines preprocess
         // übershaders before glShaderSource).
         const std::string &original =
             r.exploration.preprocessedOriginal;
-        const gpu::DeviceModel &device = gpu::deviceModel(devices[di]);
+        const gpu::DeviceModel &device = gpu::deviceModel(dev);
 
         // Reset the slot: this may be the retry of a partially filled
         // attempt, and the measurement protocol is deterministic, so a
         // clean re-run reproduces the same values.
-        DeviceMeasurement &m = slots[item];
         m = DeviceMeasurement{};
         m.originalMeanNs =
             runtime::measureShader(original, device,
@@ -336,86 +315,72 @@ ExperimentEngine::runShaders(
         }
     };
 
-    auto quarantine_item = [&](size_t item, const char *what,
-                               int attempts) {
-        const size_t si = item / n_dev;
-        const size_t di = item % n_dev;
-        slots[item] = DeviceMeasurement{};
-        clean[si].store(false, std::memory_order_relaxed);
-
-        std::lock_guard<std::mutex> lock(health_mutex);
+    auto quarantine_item = [&](size_t si, gpu::DeviceId dev,
+                               const char *what, int attempts) {
         ShaderResult &r = results_[indices[si]];
         // Exploration itself may have failed; keep the result
         // addressable by name either way.
         if (r.exploration.shaderName.empty())
             r.exploration.shaderName = shaders[indices[si]].name;
-        r.quarantined.insert(devices[di]);
+        r.quarantined.insert(dev);
         // The structured reason rides with the result (and, through
         // the schema-16 'Q' section, with any shard serialised from
         // it): for a budget kill this is the ResourceExhausted message
         // naming the dimension and stage.
-        r.quarantineReason[devices[di]] = what;
+        r.quarantineReason[dev] = what;
         QuarantinedItem q;
         q.shader = shaders[indices[si]].name;
-        q.device = devices[di];
+        q.device = dev;
         q.error = what;
         q.attempts = attempts;
 
         warn("quarantined campaign item " + q.shader + " x " +
-             gpu::deviceModel(devices[di]).vendor + " after " +
+             gpu::deviceModel(dev).vendor + " after " +
              std::to_string(attempts) + " attempt(s): " + what);
 
+        std::lock_guard<std::mutex> lock(health_mutex);
         health_.quarantined.push_back(std::move(q));
     };
 
-    uint64_t item_retries = 0;
     std::atomic<uint64_t> retries{0};
 
-    parallelFor(
-        n_items, threads,
-        [&](size_t item) {
+    // One task per shader: it runs the shader's items in device order
+    // and checkpoints the shard, so no worker waits on another's
+    // exploration and one thread fills all of a shader's driver texts.
+    // A task writes only its own shader's result, so the campaign
+    // output is identical for any thread count.
+    parallelFor(indices.size(), threads, [&](size_t si) {
+        ShaderResult &r = results_[indices[si]];
+        bool explored = false;
+        for (gpu::DeviceId dev : devices) {
+            DeviceMeasurement m;
             if (strict) {
-                run_item(item);
-                return;
+                run_item(si, dev, explored, m);
+            } else {
+                int attempts = 0;
+                try {
+                    retryTransient(
+                        policy, shaders[indices[si]].name + "/item",
+                        [&] { run_item(si, dev, explored, m); },
+                        &attempts);
+                } catch (const std::exception &e) {
+                    quarantine_item(si, dev, e.what(), attempts);
+                }
+                if (attempts > 1)
+                    retries.fetch_add(
+                        static_cast<uint64_t>(attempts - 1),
+                        std::memory_order_relaxed);
             }
-            int attempts = 0;
-            try {
-                retryTransient(
-                    policy,
-                    shaders[indices[item / n_dev]].name + "/item",
-                    [&] { run_item(item); }, &attempts);
-            } catch (const std::exception &e) {
-                quarantine_item(item, e.what(), attempts);
-            }
-            if (attempts > 1)
-                retries.fetch_add(
-                    static_cast<uint64_t>(attempts - 1),
-                    std::memory_order_relaxed);
-        },
-        [&](size_t item) {
-            // Per-item completion hook (also runs after a quarantine
-            // — the countdown must drain either way). When the last
-            // device item of a shader finishes, every other item of
-            // that shader has fully completed (the hook runs after
-            // the item body, and the countdown is sequenced after
-            // both), so assembling the result here is race-free.
-            const size_t si = item / n_dev;
-            if (remaining[si].fetch_sub(1) != 1)
-                return;
-            ShaderResult &r = results_[indices[si]];
-            for (size_t di = 0; di < n_dev; ++di) {
-                if (!r.quarantined.count(devices[di]))
-                    r.byDevice.emplace(
-                        devices[di],
-                        std::move(slots[si * n_dev + di]));
-            }
-            if (clean[si].load(std::memory_order_relaxed) &&
-                checkpoint)
-                checkpoint(indices[si]);
-        });
+            if (!r.quarantined.count(dev))
+                r.byDevice.emplace(dev, std::move(m));
+        }
+        // Only a shader none of whose items was quarantined is
+        // checkpointed.
+        if (r.quarantined.empty() && checkpoint)
+            checkpoint(indices[si]);
+    });
 
-    item_retries = retries.load(std::memory_order_relaxed);
-    health_.itemRetries += item_retries;
+    health_.itemRetries += retries.load(std::memory_order_relaxed);
     health_.itemsQuarantined =
         static_cast<uint64_t>(health_.quarantined.size());
     health_.itemsCompleted +=

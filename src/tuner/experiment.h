@@ -5,10 +5,14 @@
  * the 100-frame/5-repetition timing protocol — and exposes the derived
  * quantities every figure and table needs.
  *
- * The campaign is scheduled as a work queue of (shader x device) items
- * over a std::thread pool (GSOPT_THREADS workers, default
- * hardware_concurrency); results are written to per-item slots, so the
- * output is bit-identical for any thread count.
+ * The campaign is scheduled as a work queue of shaders over a
+ * std::thread pool (GSOPT_THREADS workers, default
+ * hardware_concurrency). One task explores its shader and measures it
+ * on every device in device order, so no worker waits on another's
+ * exploration; results are written to per-shader slots, so the output
+ * is bit-identical for any thread count. Within a task each
+ * (shader x device) pair is still one item: the unit of admission,
+ * retry and quarantine.
  *
  * Because all the benches share this campaign, the engine caches its
  * results under ./experiment_cache/ as one shard file per shader,
@@ -22,8 +26,8 @@
  * into the CampaignHealth report and the campaign completes with
  * partial results. GSOPT_STRICT=1 restores fail-fast (first error
  * aborts the run). Shards are checkpointed *incrementally* — each one
- * is written the moment its shader's last device item completes — so a
- * killed campaign resumes from completed shards.
+ * is written as its shader's task ends — so a killed campaign resumes
+ * from completed shards.
  */
 #ifndef GSOPT_TUNER_EXPERIMENT_H
 #define GSOPT_TUNER_EXPERIMENT_H
@@ -307,13 +311,16 @@ class ExperimentEngine
     ExperimentEngine() = default;
 
     /**
-     * Work-queue campaign over (shader x device) items for the listed
-     * shader indices; exploration runs once per shader (first item to
-     * need it), measurements fill per-item slots. Transient per-item
-     * failures retry with backoff; exhausted or non-transient ones are
-     * quarantined (or rethrown under GSOPT_STRICT=1). @p checkpoint,
-     * when set, is invoked with a shader index the moment all of its
-     * device items completed cleanly.
+     * Work-queue campaign over the listed shader indices, one task per
+     * shader: the task runs the shader's (shader x device) items in
+     * device order on its own thread, exploring the shader inside the
+     * first item (an exploration that throws is retried by the next
+     * attempt or item, so it succeeds at most once per shader).
+     * Transient per-item failures retry with backoff; exhausted or
+     * non-transient ones are quarantined (or rethrown under
+     * GSOPT_STRICT=1). @p checkpoint, when set, is invoked with the
+     * shader index as the task ends if none of its items was
+     * quarantined.
      */
     void runShaders(const std::vector<corpus::CorpusShader> &shaders,
                     const std::vector<size_t> &indices, unsigned threads,

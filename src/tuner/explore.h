@@ -31,7 +31,9 @@ struct ShaderFeatures; // tuner/features.h
  * and one lowering per shader regardless of the 256 flag combinations;
  * these counters make that verifiable and give the perf benches their
  * per-phase breakdown. Thread-safe (the experiment engine explores
- * shaders from a worker pool); times are cumulative nanoseconds.
+ * shaders from a worker pool, each shader inside its own task, so a
+ * campaign advances frontEndRuns by exactly its shader count); times
+ * are cumulative nanoseconds.
  */
 struct ExploreCounters
 {

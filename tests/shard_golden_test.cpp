@@ -20,6 +20,7 @@
 #include "gpu/driver.h"
 #include "test_md5.h"
 #include "tuner/experiment.h"
+#include "tuner/explore.h"
 
 namespace gsopt {
 namespace {
@@ -64,25 +65,35 @@ TEST(ShardGolden, ThreeShaderCampaignBytesMatchSeed)
         ~RestoreCap() { gpu::setDriverCacheCap(0); }
     } restore;
 
-    // The driver cache cap is one more input: the bytes must match at
-    // the start-up cap (0 restores it) and at cap 1, where a serial
-    // engine, measuring device-major within a shader, evicts every
-    // text before the next device reaches it.
-    for (size_t cap : {size_t{0}, size_t{1}}) {
-        SCOPED_TRACE("driver cache cap " + std::to_string(cap));
-        gpu::setDriverCacheCap(cap);
-        gpu::clearDriverCache();
-        tuner::ExperimentEngine engine(shaders, /*threads=*/1);
-        ASSERT_EQ(engine.results().size(), std::size(kGoldens));
+    // The driver cache cap and the thread count are more inputs: the
+    // bytes must match at the start-up cap (0 restores it) and at cap
+    // 1, where a serial engine, measuring device-major within a
+    // shader, evicts every text before the next device reaches it; and
+    // with one worker and with four, where the shaders' tasks run at
+    // once. Each engine explores every shader exactly once.
+    for (unsigned threads : {1u, 4u}) {
+        for (size_t cap : {size_t{0}, size_t{1}}) {
+            SCOPED_TRACE("threads " + std::to_string(threads) +
+                         ", driver cache cap " + std::to_string(cap));
+            gpu::setDriverCacheCap(cap);
+            gpu::clearDriverCache();
+            const uint64_t explored_before =
+                tuner::exploreCounters().frontEndRuns.load();
+            tuner::ExperimentEngine engine(shaders, threads);
+            EXPECT_EQ(tuner::exploreCounters().frontEndRuns.load() -
+                          explored_before,
+                      shaders.size());
+            ASSERT_EQ(engine.results().size(), std::size(kGoldens));
 
-        for (const Golden &g : kGoldens) {
-            const tuner::ShaderResult &r = engine.result(g.shader);
-            const std::string body = tuner::serializeShardBody(r);
-            EXPECT_EQ(body.size(), g.bodyBytes) << g.shader;
-            EXPECT_EQ(md5Hex(body), g.md5) << g.shader;
-        }
-        if (cap == 1) {
-            EXPECT_GT(gpu::driverCacheStats().evictions, 0u);
+            for (const Golden &g : kGoldens) {
+                const tuner::ShaderResult &r = engine.result(g.shader);
+                const std::string body = tuner::serializeShardBody(r);
+                EXPECT_EQ(body.size(), g.bodyBytes) << g.shader;
+                EXPECT_EQ(md5Hex(body), g.md5) << g.shader;
+            }
+            if (cap == 1) {
+                EXPECT_GT(gpu::driverCacheStats().evictions, 0u);
+            }
         }
     }
 }

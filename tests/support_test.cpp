@@ -11,7 +11,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <thread>
-#include <vector>
 
 #include "support/diag.h"
 #include "support/rng.h"
@@ -232,50 +231,6 @@ TEST(ParallelFor, ThreadedErrorAbandonsTheQueue)
                              }),
                  std::runtime_error);
     EXPECT_LT(executed.load(), items);
-}
-
-TEST(ParallelFor, CompletionHookRunsOncePerItem)
-{
-    for (unsigned threads : {1u, 4u}) {
-        std::vector<std::atomic<int>> done(64);
-        for (auto &d : done)
-            d = 0;
-        parallelFor(
-            done.size(), threads, [](size_t) {},
-            [&](size_t i) { done[i].fetch_add(1); });
-        for (size_t i = 0; i < done.size(); ++i)
-            EXPECT_EQ(done[i].load(), 1) << "item " << i;
-    }
-}
-
-TEST(ParallelFor, CompletionHookSkippedForFailedItem)
-{
-    std::vector<int> done(8, 0);
-    EXPECT_THROW(parallelFor(
-                     done.size(), 1,
-                     [&](size_t i) {
-                         if (i == 5)
-                             throw std::runtime_error("no hook for 5");
-                     },
-                     [&](size_t i) { done[i] = 1; }),
-                 std::runtime_error);
-    EXPECT_EQ(done[4], 1); // completed items got their hook...
-    EXPECT_EQ(done[5], 0); // ... the failed one did not
-    EXPECT_EQ(done[6], 0); // ... and the queue was abandoned
-}
-
-TEST(ParallelFor, HookExceptionIsAnItemFailure)
-{
-    std::atomic<int> executed{0};
-    EXPECT_THROW(parallelFor(
-                     8, 1, [&](size_t) { executed.fetch_add(1); },
-                     [](size_t i) {
-                         if (i == 2)
-                             throw std::runtime_error("hook failed");
-                     }),
-                 std::runtime_error);
-    // fn ran for 0,1,2; the failing hook abandoned the rest.
-    EXPECT_EQ(executed.load(), 3);
 }
 
 // Every integer env knob goes through support/strings.h envUint: unset
