@@ -5,8 +5,9 @@
  *
  * Every binary regenerates one table or figure of the paper and prints
  * the same rows/series the paper reports. The first binary run pays for
- * the measurement campaign (median 2.8 s for fig05_overall at
- * GSOPT_THREADS=1 on a 4-core x86-64 container, RelWithDebInfo GCC;
+ * the measurement campaign (median 1.4 s for fig05_overall at
+ * GSOPT_THREADS=1 on a 4-core x86-64 container, RelWithDebInfo GCC,
+ * 2.1 s before canonicalize's value numbering dropped string keys;
  * ~15 s before the compile-once exploration refactor — see
  * bench/micro_explore.cpp and bench/micro_campaign.cpp for the
  * trajectory; GSOPT_THREADS controls the worker pool); the results are

@@ -442,22 +442,6 @@ deadStoreElim(Module &module)
 // ------------------------------------------------------------------
 // Block-local CSE.
 // ------------------------------------------------------------------
-std::string
-instrKey(const Instr &i)
-{
-    std::string key = std::to_string(static_cast<int>(i.op));
-    key += "/" + i.type.str();
-    for (const Instr *op : i.operands)
-        key += ":" + std::to_string(op->id);
-    if (i.var)
-        key += "@" + std::to_string(i.var->id);
-    for (int idx : i.indices)
-        key += "." + std::to_string(idx);
-    for (double d : i.constData)
-        key += "," + std::to_string(d);
-    return key;
-}
-
 /** True if the instruction can be value-numbered. */
 bool
 isNumerable(const Instr &i)
@@ -477,11 +461,12 @@ localCse(Module &module)
 {
     bool changed = false;
     std::unordered_map<Instr *, Instr *> repl;
+    ValueTable table;
     ir::forEachNode(module.body, [&](Node &n) {
         auto *b = dyn_cast<Block>(&n);
         if (!b)
             return;
-        std::unordered_map<std::string, Instr *> table;
+        table.pushScope();
         for (auto &ip : b->instrs) {
             Instr &i = *ip;
             for (Instr *&op : i.operands) {
@@ -493,40 +478,63 @@ localCse(Module &module)
             }
             if (!isNumerable(i))
                 continue;
-            std::string key = instrKey(i);
-            auto [it, inserted] = table.emplace(key, &i);
-            if (!inserted) {
-                repl[&i] = it->second;
+            if (Instr *prior = table.findOrInsert(i)) {
+                repl[&i] = prior;
                 changed = true;
             }
         }
+        table.popScope();
     });
     applyReplacements(module, repl);
     return changed;
 }
 
 // ------------------------------------------------------------------
-// Trivial DCE: iteratively drop unused pure instructions.
+// Trivial DCE: drop unused pure instructions, and then whatever only
+// they used.
 // ------------------------------------------------------------------
 bool
 trivialDce(Module &module)
 {
-    bool changed = false;
-    for (;;) {
-        auto uses = countUses(module);
-        std::unordered_set<const Instr *> dead;
-        ir::forEachInstr(module.body, [&](const Instr &i) {
-            if (!ir::hasSideEffects(i.op) && uses[&i] == 0)
-                dead.insert(&i);
-        });
-        if (dead.empty())
-            break;
-        ir::eraseInstrsIf(module.body, [&dead](const Instr &i) {
-            return dead.count(&i) > 0;
-        });
-        changed = true;
+    // Uses of the body's own instructions: the worklist only releases
+    // what the body holds.
+    std::unordered_map<const Instr *, int> uses;
+    ir::forEachInstr(module.body,
+                     [&uses](const Instr &i) { uses.emplace(&i, 0); });
+    forEachUse(module, [&uses](const Instr *v) {
+        auto it = uses.find(v);
+        if (it != uses.end())
+            ++it->second;
+    });
+
+    // A dead instruction's count becomes -1; dropping it releases its
+    // operands, which die in turn when that was their last use.
+    std::vector<const Instr *> work;
+    auto release = [&work](const Instr *v, int &n) {
+        if (n == 0 && !ir::hasSideEffects(v->op)) {
+            n = -1;
+            work.push_back(v);
+        }
+    };
+    for (auto &[i, n] : uses)
+        release(i, n);
+    if (work.empty())
+        return false;
+    while (!work.empty()) {
+        const Instr *dead = work.back();
+        work.pop_back();
+        for (const Instr *op : dead->operands) {
+            auto it = uses.find(op);
+            if (it != uses.end() && it->second > 0) {
+                --it->second;
+                release(op, it->second);
+            }
+        }
     }
-    return changed;
+    ir::eraseInstrsIf(module.body, [&uses](const Instr &i) {
+        return uses.find(&i)->second < 0;
+    });
+    return true;
 }
 
 // ------------------------------------------------------------------

@@ -11,8 +11,6 @@
  * shaders with non-trivial control flow: straight-line redundancy is
  * already gone after local CSE.
  */
-#include <map>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -30,18 +28,19 @@ using ir::LoopNode;
 using ir::Module;
 using ir::Opcode;
 using ir::Region;
-using ir::Var;
 
 namespace {
 
 class GvnPass
 {
   public:
-    explicit GvnPass(Module &module) : module_(module) {}
+    explicit GvnPass(Module &module)
+        : module_(module), memVersion_(module.vars.size(), 0)
+    {
+    }
 
     bool run()
     {
-        scopes_.emplace_back();
         walkRegion(module_.body);
 
         if (repl_.empty())
@@ -69,41 +68,20 @@ class GvnPass
     }
 
   private:
-    using Scope = std::unordered_map<std::string, Instr *>;
-
-    Instr *lookup(const std::string &key)
+    /** Version of @p i's memory in the value key: loads see the
+     * store count of their var, everything else 0. */
+    int versionOf(const Instr &i)
     {
-        for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-            auto f = it->find(key);
-            if (f != it->end())
-                return f->second;
-        }
-        return nullptr;
-    }
-
-    std::string keyOf(const Instr &i)
-    {
-        std::string key = std::to_string(static_cast<int>(i.op));
-        key += "/" + i.type.str();
-        for (const Instr *op : i.operands)
-            key += ":" + std::to_string(op->id);
-        if (i.var) {
-            key += "@" + std::to_string(i.var->id);
-            if (i.op == Opcode::LoadVar || i.op == Opcode::LoadElem)
-                key += "v" + std::to_string(memVersion_[i.var]);
-        }
-        for (int idx : i.indices)
-            key += "." + std::to_string(idx);
-        for (double d : i.constData)
-            key += "," + std::to_string(d);
-        return key;
+        if (i.var && (i.op == Opcode::LoadVar || i.op == Opcode::LoadElem))
+            return memVersion_[static_cast<size_t>(i.var->id)];
+        return 0;
     }
 
     void bumpStoredVars(const Region &region)
     {
         ir::forEachInstr(region, [this](const Instr &i) {
             if (i.op == Opcode::StoreVar || i.op == Opcode::StoreElem)
-                ++memVersion_[i.var];
+                ++memVersion_[static_cast<size_t>(i.var->id)];
         });
     }
 
@@ -122,17 +100,13 @@ class GvnPass
                     }
                     if (i.op == Opcode::StoreVar ||
                         i.op == Opcode::StoreElem) {
-                        ++memVersion_[i.var];
+                        ++memVersion_[static_cast<size_t>(i.var->id)];
                         continue;
                     }
                     if (ir::hasSideEffects(i.op))
                         continue;
-                    std::string key = keyOf(i);
-                    if (Instr *prior = lookup(key)) {
+                    if (Instr *prior = table_.findOrInsert(i, versionOf(i)))
                         repl_[&i] = prior;
-                    } else {
-                        scopes_.back().emplace(std::move(key), &i);
-                    }
                 }
             } else if (auto *f = dyn_cast<IfNode>(node.get())) {
                 if (f->cond) {
@@ -143,13 +117,13 @@ class GvnPass
                     }
                 }
                 auto versions = memVersion_;
-                scopes_.emplace_back();
+                table_.pushScope();
                 walkRegion(f->thenRegion);
-                scopes_.pop_back();
+                table_.popScope();
                 memVersion_ = versions;
-                scopes_.emplace_back();
+                table_.pushScope();
                 walkRegion(f->elseRegion);
-                scopes_.pop_back();
+                table_.popScope();
                 memVersion_ = versions;
                 // After the if, any var stored in either arm has a new
                 // version.
@@ -162,11 +136,11 @@ class GvnPass
                 bumpStoredVars(l->condRegion);
                 bumpStoredVars(l->body);
                 if (l->counter)
-                    ++memVersion_[l->counter];
+                    ++memVersion_[static_cast<size_t>(l->counter->id)];
                 // Cond region and body get *separate* scopes: values
                 // must not be shared between them (the back end emits
                 // the condition computation twice, at different points).
-                scopes_.emplace_back();
+                table_.pushScope();
                 walkRegion(l->condRegion);
                 if (l->condValue) {
                     auto it = repl_.find(l->condValue);
@@ -175,21 +149,22 @@ class GvnPass
                         it = repl_.find(l->condValue);
                     }
                 }
-                scopes_.pop_back();
-                scopes_.emplace_back();
+                table_.popScope();
+                table_.pushScope();
                 walkRegion(l->body);
-                scopes_.pop_back();
+                table_.popScope();
                 bumpStoredVars(l->condRegion);
                 bumpStoredVars(l->body);
                 if (l->counter)
-                    ++memVersion_[l->counter];
+                    ++memVersion_[static_cast<size_t>(l->counter->id)];
             }
         }
     }
 
     Module &module_;
-    std::vector<Scope> scopes_;
-    std::map<Var *, int> memVersion_;
+    ValueTable table_;
+    /** Stores seen so far per var, indexed by Var::id. */
+    std::vector<int> memVersion_;
     std::unordered_map<Instr *, Instr *> repl_;
 };
 

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "ir/ir.h"
@@ -110,13 +109,9 @@ bool texBatch(ir::Module &module);
 /** tex_batch's fetch class: ops whose value is a pure function of
  * read-only state and their operands (texture ops + read-only loads).
  * Shared with the tuner's dupFetches feature so the profitability
- * signal and the pass agree on what a fetch is. */
+ * signal and the pass agree on what a fetch is; both identify fetches
+ * with a ValueTable (passes/util.h). */
 bool isFetchOp(const ir::Instr &instr);
-
-/** tex_batch's fetch identity key (op, type, operands, var, indices).
- * Two fetches with equal keys compute the same value on any path
- * where both execute. */
-std::string fetchKey(const ir::Instr &instr);
 
 // -- driver-side scheduling ----------------------------------------------
 

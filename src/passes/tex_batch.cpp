@@ -19,12 +19,11 @@
  * the other arm or the code after the join, and loop cond-region
  * values never serve the body, mirroring the GVN/back-end contract).
  */
-#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "ir/walk.h"
 #include "passes/passes.h"
+#include "passes/util.h"
 
 namespace gsopt::passes {
 
@@ -53,20 +52,6 @@ isFetchOp(const Instr &i)
     }
 }
 
-std::string
-fetchKey(const Instr &i)
-{
-    std::string key = std::to_string(static_cast<int>(i.op));
-    key += "/" + i.type.str();
-    for (const Instr *op : i.operands)
-        key += ":" + std::to_string(op->id);
-    if (i.var)
-        key += "@" + std::to_string(i.var->id);
-    for (int idx : i.indices)
-        key += "." + std::to_string(idx);
-    return key;
-}
-
 namespace {
 
 class TexBatcher
@@ -76,7 +61,6 @@ class TexBatcher
 
     bool run()
     {
-        scopes_.emplace_back();
         walkRegion(module_.body);
         if (repl_.empty())
             return false;
@@ -94,8 +78,6 @@ class TexBatcher
     }
 
   private:
-    using Scope = std::unordered_map<std::string, Instr *>;
-
     Instr *resolve(Instr *v)
     {
         while (v) {
@@ -105,16 +87,6 @@ class TexBatcher
             v = it->second;
         }
         return v;
-    }
-
-    Instr *lookup(const std::string &key)
-    {
-        for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-            auto f = it->find(key);
-            if (f != it->end())
-                return f->second;
-        }
-        return nullptr;
     }
 
     void walkRegion(Region &region)
@@ -127,38 +99,36 @@ class TexBatcher
                         op = resolve(op);
                     if (!isFetchOp(i))
                         continue;
-                    std::string key = fetchKey(i);
-                    if (Instr *prior = lookup(key))
+                    if (Instr *prior = fetches_.findOrInsert(i))
                         repl_[&i] = prior;
-                    else
-                        scopes_.back().emplace(std::move(key), &i);
                 }
             } else if (auto *f = dyn_cast<IfNode>(node.get())) {
                 f->cond = resolve(f->cond);
-                scopes_.emplace_back();
+                fetches_.pushScope();
                 walkRegion(f->thenRegion);
-                scopes_.pop_back();
-                scopes_.emplace_back();
+                fetches_.popScope();
+                fetches_.pushScope();
                 walkRegion(f->elseRegion);
-                scopes_.pop_back();
+                fetches_.popScope();
             } else if (auto *l = dyn_cast<LoopNode>(node.get())) {
                 // Cond region and body get separate scopes (the back
                 // end re-emits the condition at a different program
                 // point); pre-loop fetches stay visible to both, which
                 // is what lifts a loop-constant fetch to one issue.
-                scopes_.emplace_back();
+                fetches_.pushScope();
                 walkRegion(l->condRegion);
                 l->condValue = resolve(l->condValue);
-                scopes_.pop_back();
-                scopes_.emplace_back();
+                fetches_.popScope();
+                fetches_.pushScope();
                 walkRegion(l->body);
-                scopes_.pop_back();
+                fetches_.popScope();
             }
         }
     }
 
     Module &module_;
-    std::vector<Scope> scopes_;
+    /** Fetch identity: op, type, operands, var, indices. */
+    ValueTable fetches_;
     std::unordered_map<Instr *, Instr *> repl_;
 };
 

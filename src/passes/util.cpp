@@ -1,7 +1,9 @@
 #include "passes/util.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "ir/walk.h"
@@ -13,27 +15,221 @@ using ir::Module;
 using ir::Opcode;
 using ir::Type;
 
+void
+forEachUse(const Module &module,
+           const std::function<void(const Instr *)> &fn)
+{
+    ir::forEachInstr(module.body, [&fn](const Instr &i) {
+        for (const Instr *op : i.operands)
+            fn(op);
+    });
+    ir::forEachNode(const_cast<Module &>(module).body, [&fn](ir::Node &n) {
+        if (auto *f = ir::dyn_cast<ir::IfNode>(&n)) {
+            if (f->cond)
+                fn(f->cond);
+        } else if (auto *l = ir::dyn_cast<ir::LoopNode>(&n)) {
+            if (l->condValue)
+                fn(l->condValue);
+        }
+    });
+}
+
 std::unordered_map<const Instr *, int>
 countUses(const Module &module)
 {
     std::unordered_map<const Instr *, int> uses;
-    ir::forEachInstr(module.body, [&uses](const Instr &i) {
-        for (const Instr *op : i.operands)
-            ++uses[op];
-    });
-    // Structured condition references count as uses too.
-    ir::forEachNode(const_cast<Module &>(module).body,
-                    [&uses](ir::Node &n) {
-                        if (auto *f = ir::dyn_cast<ir::IfNode>(&n)) {
-                            if (f->cond)
-                                ++uses[f->cond];
-                        } else if (auto *l =
-                                       ir::dyn_cast<ir::LoopNode>(&n)) {
-                            if (l->condValue)
-                                ++uses[l->condValue];
-                        }
-                    });
+    forEachUse(module, [&uses](const Instr *v) { ++uses[v]; });
     return uses;
+}
+
+namespace {
+
+uint64_t
+mix(uint64_t h, uint64_t v)
+{
+    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    return h * 0xff51afd7ed558ccdull;
+}
+
+/** Type::str()'s spelling as fields: types with equal spellings (all
+ * void shapes, say) compare equal, distinct spellings never do. */
+struct TypeSpelling
+{
+    int kind;
+    int count;
+    int arraySize;
+
+    bool operator==(const TypeSpelling &o) const
+    {
+        return kind == o.kind && count == o.count &&
+               arraySize == o.arraySize;
+    }
+};
+
+TypeSpelling
+spellingOf(const Type &type)
+{
+    const Type t = type.elementType();
+    const int base = t.isFloat() ? 0 : t.isInt() ? 1 : t.isBool() ? 2 : 3;
+    TypeSpelling s{0, 0, type.arraySize}; // "void"
+    if (t.isSampler())
+        s.kind = 1;
+    else if (t.isVoid())
+        s.kind = 0;
+    else if (t.isMatrix())
+        s = {2, t.cols, type.arraySize}; // "matN"
+    else if (t.isVector())
+        s = {base == 3 ? 3 : 4 + base, base == 3 ? 0 : t.rows,
+             type.arraySize}; // "vec?" or "vecN"/"ivecN"/"bvecN"
+    else if (base != 3)
+        s.kind = 7 + base; // "float"/"int"/"bool"
+    return s;
+}
+
+/** Widest "%f" text of a double: 309 integer digits, sign, point, 6
+ * decimals. */
+constexpr size_t kLaneTextMax = 320;
+
+size_t
+laneText(double d, char (&buf)[kLaneTextMax])
+{
+    return static_cast<size_t>(
+        std::to_chars(buf, buf + kLaneTextMax, d,
+                      std::chars_format::fixed, 6)
+            .ptr -
+        buf);
+}
+
+/** std::to_string(a) == std::to_string(b), without allocating. */
+bool
+sameLaneText(double a, double b)
+{
+    if (std::memcmp(&a, &b, sizeof a) == 0)
+        return true;
+    char ta[kLaneTextMax], tb[kLaneTextMax];
+    const size_t na = laneText(a, ta);
+    return na == laneText(b, tb) && std::memcmp(ta, tb, na) == 0;
+}
+
+/** A hash of std::to_string(d)'s text: lanes that print alike share
+ * it by construction. */
+uint64_t
+laneHash(double d)
+{
+    char buf[kLaneTextMax];
+    const size_t len = laneText(d, buf);
+    uint64_t h = len;
+    for (size_t k = 0; k < len; k += 8) {
+        uint64_t word = 0;
+        std::memcpy(&word, buf + k, std::min<size_t>(8, len - k));
+        h = mix(h, word);
+    }
+    return h;
+}
+
+} // namespace
+
+uint64_t
+ValueTable::hashOf(const Instr &instr, int version)
+{
+    const TypeSpelling t = spellingOf(instr.type);
+    uint64_t h = mix(static_cast<uint64_t>(instr.op),
+                     static_cast<uint64_t>(t.kind) << 32 |
+                         static_cast<uint32_t>(t.count));
+    h = mix(h, static_cast<uint32_t>(t.arraySize));
+    for (const Instr *op : instr.operands)
+        h = mix(h, static_cast<uint32_t>(op->id));
+    h = mix(h, instr.var ? static_cast<uint64_t>(instr.var->id) : ~0ull);
+    h = mix(h, static_cast<uint32_t>(version));
+    for (int idx : instr.indices)
+        h = mix(h, static_cast<uint32_t>(idx) | 1ull << 32);
+    for (double d : instr.constData)
+        h = mix(h, laneHash(d));
+    return h ^ h >> 29;
+}
+
+bool
+ValueTable::sameValue(const Slot &slot, const Instr &b, int version)
+{
+    const Instr &a = *slot.instr;
+    if (slot.version != version || a.op != b.op ||
+        a.operands.size() != b.operands.size() ||
+        a.indices.size() != b.indices.size() ||
+        (a.var == nullptr) != (b.var == nullptr) ||
+        (a.var && a.var->id != b.var->id))
+        return false;
+    if (a.type != b.type && !(spellingOf(a.type) == spellingOf(b.type)))
+        return false;
+    for (size_t k = 0; k < a.operands.size(); ++k) {
+        if (a.operands[k]->id != b.operands[k]->id)
+            return false;
+    }
+    for (size_t k = 0; k < a.indices.size(); ++k) {
+        if (a.indices[k] != b.indices[k])
+            return false;
+    }
+    if (a.constData.size() != b.constData.size())
+        return false;
+    for (size_t k = 0; k < a.constData.size(); ++k) {
+        if (!sameLaneText(a.constData[k], b.constData[k]))
+            return false;
+    }
+    return true;
+}
+
+Instr *
+ValueTable::findOrInsert(Instr &instr, int version)
+{
+    const uint64_t h = hashOf(instr, version);
+    const size_t mask = slots_.size() - 1;
+    for (size_t at = h & mask; slots_[at].instr; at = (at + 1) & mask) {
+        if (slots_[at].hash == h && sameValue(slots_[at], instr, version))
+            return slots_[at].instr;
+    }
+    log_.push_back({h, &instr, version});
+    if (2 * log_.size() > slots_.size())
+        grow();
+    else
+        place(log_.back());
+    return nullptr;
+}
+
+void
+ValueTable::place(const Slot &slot)
+{
+    const size_t mask = slots_.size() - 1;
+    size_t at = slot.hash & mask;
+    while (slots_[at].instr)
+        at = (at + 1) & mask;
+    slots_[at] = slot;
+}
+
+void
+ValueTable::grow()
+{
+    // Re-placing the live entries in insertion order keeps the table
+    // exactly as if they had been inserted into it one by one, which
+    // is what lets popScope() clear slots newest first without
+    // breaking a probe chain.
+    slots_.assign(2 * slots_.size(), Slot{0, nullptr, 0});
+    for (const Slot &s : log_)
+        place(s);
+}
+
+void
+ValueTable::popScope()
+{
+    const size_t keep = marks_.back();
+    marks_.pop_back();
+    const size_t mask = slots_.size() - 1;
+    while (log_.size() > keep) {
+        const Slot &s = log_.back();
+        size_t at = s.hash & mask;
+        while (slots_[at].instr != s.instr)
+            at = (at + 1) & mask;
+        slots_[at].instr = nullptr;
+        log_.pop_back();
+    }
 }
 
 Instr *

@@ -7,13 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "emit/offline.h"
+#include "ir/builder.h"
 #include "ir/interp.h"
 #include "ir/verifier.h"
 #include "ir/walk.h"
 #include "passes/passes.h"
 #include "passes/registry.h"
+#include "passes/util.h"
 
 namespace gsopt {
 namespace {
@@ -155,6 +162,273 @@ TEST(Canonicalize, DoesNotRemoveIdentityMultiply)
 }
 
 // --------------------------------------------------------------- unroll
+
+TEST(Canonicalize, DeadChainsDieInOneCallConditionAndStoreChainsStay)
+{
+    using ir::Opcode;
+    ir::Module m;
+    ir::Var *x = m.newVar("x", ir::Type::floatTy(), ir::VarKind::Input);
+    ir::Var *o = m.newVar("o", ir::Type::floatTy(), ir::VarKind::Output);
+    ir::IrBuilder b(m);
+    ir::Instr *v = b.load(x);
+    // A dead chain, nothing using its last link, longer than
+    // canonicalize's 32 rounds: it must go in one DCE sweep.
+    const Opcode deadOps[] = {Opcode::Tan, Opcode::Atan, Opcode::Exp2,
+                              Opcode::Log2};
+    ir::Instr *link = v;
+    for (int k = 0; k < 40; ++k)
+        link = b.unary(deadOps[k % 4], link);
+    // A chain used only by an if condition.
+    ir::IfNode *ifn = b.createIf(
+        b.binary(Opcode::Lt, b.unary(Opcode::Sin, v), b.constFloat(0.5)));
+    b.pushRegion(&ifn->thenRegion);
+    b.store(o, b.constFloat(1.0));
+    b.popRegion();
+    // A chain used only by a generic loop's condition.
+    ir::LoopNode *loop = b.createLoop();
+    b.pushRegion(&loop->condRegion);
+    loop->condValue = b.binary(Opcode::Gt, b.unary(Opcode::Cos, b.load(x)),
+                               b.constFloat(0.25));
+    b.popRegion();
+    b.pushRegion(&loop->body);
+    b.store(o, b.constFloat(2.0));
+    b.popRegion();
+    // A chain feeding a store to an output.
+    b.store(o, b.binary(Opcode::Add, b.unary(Opcode::Exp, v),
+                        b.constFloat(3.0)));
+
+    passes::canonicalize(m);
+    EXPECT_TRUE(ir::verify(m).empty());
+    for (Opcode op : deadOps)
+        EXPECT_EQ(countOps(m, op), 0u) << ir::opcodeName(op);
+    for (Opcode op : {Opcode::Sin, Opcode::Lt, Opcode::Cos, Opcode::Gt,
+                      Opcode::Exp, Opcode::Add})
+        EXPECT_EQ(countOps(m, op), 1u) << ir::opcodeName(op);
+    EXPECT_EQ(ifCount(m), 1u);
+    EXPECT_EQ(loopCount(m), 1u);
+}
+
+// ---------------------------------------------------------- value table
+
+/**
+ * The string key that localCse, GVN and tex_batch each built before they
+ * shared passes::ValueTable, restated as its oracle: two instructions
+ * must be one value exactly when these keys match. @p version < 0
+ * leaves the memory version out (localCse, tex_batch). tex_batch's key
+ * had no constant lanes, but the fetches it numbers carry none.
+ */
+std::string
+stringKey(const ir::Instr &i, int version)
+{
+    std::string key = std::to_string(static_cast<int>(i.op));
+    key += "/" + i.type.str();
+    for (const ir::Instr *op : i.operands)
+        key += ":" + std::to_string(op->id);
+    if (i.var) {
+        key += "@" + std::to_string(i.var->id);
+        if (version >= 0 && (i.op == ir::Opcode::LoadVar ||
+                             i.op == ir::Opcode::LoadElem))
+            key += "v" + std::to_string(version);
+    }
+    for (int idx : i.indices)
+        key += "." + std::to_string(idx);
+    for (double d : i.constData)
+        key += "," + std::to_string(d);
+    return key;
+}
+
+ir::Instr *
+constant(ir::Module &m, double v)
+{
+    ir::Instr *i = m.newInstr();
+    i->op = ir::Opcode::Const;
+    i->type = ir::Type::floatTy();
+    i->constData = {v};
+    return i;
+}
+
+TEST(ValueTable, ConstantsAreOneValueExactlyWhenTheirTextsMatch)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> values = {
+        0.0, -0.0, 1.7948965e-09, 1e-9, -1e-9, 0.70710678182,
+        0.70710678055, 0.707107, 5e-7, 4.999999e-7, 5.000001e-7, 1e-6,
+        1.5e-6, 2e-6, 2.5e-6, 3e-6, 0.0078125, 0.007812, 0.007813, nan,
+        -nan, inf, -inf, 1e300, std::nextafter(1e300, inf), -1e300,
+        1048576.0000005, 1048576.000001, 0x1p34,
+        std::nextafter(0x1p34, 0.0), 17179869183.999998, 1e22};
+    ir::Module m;
+    std::vector<ir::Instr *> consts;
+    for (double v : values)
+        consts.push_back(constant(m, v));
+    for (ir::Instr *a : consts) {
+        for (ir::Instr *c : consts) {
+            passes::ValueTable table;
+            ASSERT_EQ(table.findOrInsert(*a), nullptr);
+            const bool merged = table.findOrInsert(*c) != nullptr;
+            EXPECT_EQ(merged,
+                      stringKey(*a, -1) == stringKey(*c, -1))
+                << a->constData[0] << " vs " << c->constData[0];
+        }
+    }
+
+    auto same = [&m](double a, double c) {
+        passes::ValueTable table;
+        table.findOrInsert(*constant(m, a));
+        return table.findOrInsert(*constant(m, c)) != nullptr;
+    };
+    EXPECT_TRUE(same(0.0, 1.7948965e-09));
+    EXPECT_TRUE(same(0.70710678182, 0.70710678055));
+    EXPECT_FALSE(same(-0.0, 0.0));
+    EXPECT_TRUE(same(-1e-9, -0.0));
+    EXPECT_FALSE(same(-1e-9, 0.0));
+    EXPECT_TRUE(same(5e-7, 0.0));  // the double lies just below the tie
+    EXPECT_TRUE(same(1.5e-6, 2e-6)); // ... and this one just above
+    EXPECT_TRUE(same(nan, nan));
+    EXPECT_FALSE(same(nan, -nan));
+    EXPECT_FALSE(same(inf, -inf));
+    EXPECT_TRUE(same(1e300, 1e300));
+    EXPECT_FALSE(same(1e300, std::nextafter(1e300, inf)));
+}
+
+TEST(ValueTable, KeysOnTypeMemoryVersionAndScope)
+{
+    using ir::Opcode;
+    ir::Module m;
+    ir::Var *x = m.newVar("x", ir::Type::floatTy(), ir::VarKind::Input);
+    ir::Var *y = m.newVar("y", ir::Type::floatTy(), ir::VarKind::Local);
+    ir::IrBuilder b(m);
+    ir::Instr *lx = b.load(x);
+    ir::Instr *ly = b.load(y);
+    ir::Instr *sum = b.binary(Opcode::Add, lx, ly);
+    ir::Instr *asInt = m.newInstr(*sum);
+    asInt->type = ir::Type::intTy();
+    ir::Instr *twin = m.newInstr(*sum);
+    ir::Instr *ly2 = m.newInstr(*ly);
+
+    passes::ValueTable table;
+    EXPECT_EQ(table.findOrInsert(*sum), nullptr);
+    EXPECT_EQ(table.findOrInsert(*asInt), nullptr); // same operands
+    EXPECT_EQ(table.findOrInsert(*twin), sum);
+    // GVN loads: a store in between bumps the version.
+    EXPECT_EQ(table.findOrInsert(*ly, 0), nullptr);
+    EXPECT_EQ(table.findOrInsert(*ly2, 1), nullptr);
+    EXPECT_EQ(table.findOrInsert(*ly2, 0), ly);
+
+    // Scopes: an inner value is forgotten on pop, outer ones stay.
+    ir::Instr *sin1 = b.unary(Opcode::Sin, lx);
+    ir::Instr *sin2 = m.newInstr(*sin1);
+    table.pushScope();
+    EXPECT_EQ(table.findOrInsert(*sin1), nullptr);
+    EXPECT_EQ(table.findOrInsert(*m.newInstr(*sum)), sum);
+    table.pushScope();
+    EXPECT_EQ(table.findOrInsert(*sin2), sin1);
+    table.popScope();
+    table.popScope();
+    EXPECT_EQ(table.findOrInsert(*sin2), nullptr);
+    EXPECT_EQ(table.findOrInsert(*m.newInstr(*sin1)), sin2);
+}
+
+TEST(ValueTable, SeededSweepMatchesStringKeys)
+{
+    std::mt19937_64 rng(2018);
+    auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+    ir::Module m;
+    const std::vector<ir::Var *> vars = {
+        nullptr,
+        m.newVar("x", ir::Type::floatTy(), ir::VarKind::Input),
+        m.newVar("u", ir::Type::vec(4), ir::VarKind::Uniform),
+        m.newVar("l", ir::Type::floatTy(), ir::VarKind::Local)};
+    std::vector<ir::Instr *> pool;
+    for (int k = 0; k < 4; ++k)
+        pool.push_back(m.newInstr());
+    // Types that print alike (every void shape; mat2 of any base) sit
+    // next to types that differ only in base, rows or array size.
+    const std::vector<ir::Type> types = {
+        ir::Type::floatTy(), ir::Type::intTy(), ir::Type::boolTy(),
+        ir::Type::vec(3), ir::Type::ivec(3), ir::Type::bvec(3),
+        ir::Type::vec(4), ir::Type::voidTy(),
+        ir::Type{ir::BaseType::Void, 1, 3, 0}, ir::Type::sampler2D(),
+        ir::Type::mat(2), ir::Type{ir::BaseType::Int, 2, 2, 0},
+        ir::Type{ir::BaseType::Float, 2, 3, 0},
+        ir::Type::floatTy().array(3), ir::Type::vec(2).array(3)};
+    const std::vector<ir::Opcode> ops = {
+        ir::Opcode::Const, ir::Opcode::Add, ir::Opcode::Construct,
+        ir::Opcode::Swizzle, ir::Opcode::LoadVar, ir::Opcode::LoadElem,
+        ir::Opcode::Texture};
+    // Lanes around six-decimal ties, from tiny to past 2^34, and the
+    // special values.
+    std::vector<double> lanes = {
+        0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), 1e300, 1e-300};
+    for (double base : {0.0, 1e-6, 0.25, 0.707107, 3.0, 1048576.0,
+                        17179869183.0, 0x1p34}) {
+        for (double off : {0.0, 1e-12, 4.999999e-7, 5e-7, 5.000001e-7,
+                           9.99999e-7}) {
+            lanes.push_back(base + off);
+            lanes.push_back(-(base - off));
+        }
+    }
+
+    auto randomInstr = [&]() {
+        ir::Instr *i = m.newInstr();
+        i->op = ops[pick(ops.size())];
+        i->type = types[pick(3) == 0 ? pick(types.size()) : 0];
+        const size_t nOps = pick(3);
+        for (size_t k = 0; k < nOps; ++k)
+            i->operands.push_back(pool[pick(2)]);
+        i->var = vars[pick(vars.size())];
+        const size_t nIdx = pick(4) == 0 ? 1 + pick(2) : 0;
+        for (size_t k = 0; k < nIdx; ++k)
+            i->indices.push_back(static_cast<int>(pick(3)) - 1);
+        const size_t nLanes = pick(3);
+        for (size_t k = 0; k < nLanes; ++k)
+            i->constData.push_back(lanes[pick(lanes.size())]);
+        return i;
+    };
+
+    for (const bool versions : {false, true}) {
+        SCOPED_TRACE(versions ? "gvn" : "localCse / tex_batch");
+        passes::ValueTable table;
+        std::map<std::string, ir::Instr *> oracle;
+        std::vector<std::string> log;
+        std::vector<size_t> marks;
+        size_t merges = 0;
+        for (int step = 0; step < 20000; ++step) {
+            const size_t r = pick(64);
+            if (r == 0 && !marks.empty()) {
+                table.popScope();
+                for (; log.size() > marks.back(); log.pop_back())
+                    oracle.erase(log.back());
+                marks.pop_back();
+                continue;
+            }
+            if (r == 1) {
+                table.pushScope();
+                marks.push_back(log.size());
+                continue;
+            }
+            ir::Instr *i = randomInstr();
+            const bool load = i->var && (i->op == ir::Opcode::LoadVar ||
+                                         i->op == ir::Opcode::LoadElem);
+            const int version =
+                versions && load ? static_cast<int>(pick(2)) : 0;
+            const std::string key = stringKey(*i, versions ? version : -1);
+            auto [it, inserted] = oracle.emplace(key, i);
+            if (inserted)
+                log.push_back(key);
+            else
+                ++merges;
+            ASSERT_EQ(table.findOrInsert(*i, version),
+                      inserted ? nullptr : it->second)
+                << "step " << step << " key " << key;
+        }
+        EXPECT_GT(merges, 2000u);
+    }
+}
 
 TEST(Unroll, FullyUnrollsCanonicalLoop)
 {

@@ -52,6 +52,10 @@ const Golden kGoldens[] = {
     {"uber/car_chase", 140942, "488aadc9b1001669f2cc597613f0ccbd"},
 };
 
+/** Every corpus shader's shard body, concatenated in corpus order. */
+const size_t kCorpusBodyBytes = 2723919;
+const char *const kCorpusMd5 = "93b1caa9b4a73f965496d719bd71bc0f";
+
 TEST(ShardGolden, ThreeShaderCampaignBytesMatchSeed)
 {
     if (tuner::flagCount() != 8)
@@ -96,6 +100,24 @@ TEST(ShardGolden, ThreeShaderCampaignBytesMatchSeed)
             }
         }
     }
+}
+
+/** Whole-corpus pin, captured before the passes' value numbering moved
+ * from string keys to a structural table: an equivalence slip in any
+ * corpus shader, not only the three above, moves these bytes. */
+TEST(ShardGolden, WholeCorpusCampaignBytesMatchSeed)
+{
+    if (tuner::flagCount() != 8)
+        GTEST_SKIP() << "md5 pins cover the paper's 8-pass campaign; "
+                        "GSOPT_EXTRA_PASSES changes the bytes";
+    const std::vector<corpus::CorpusShader> &shaders = corpus::corpus();
+    tuner::ExperimentEngine engine(shaders, 4);
+    ASSERT_EQ(engine.results().size(), 98u);
+    std::string bodies;
+    for (const corpus::CorpusShader &s : shaders)
+        bodies += tuner::serializeShardBody(engine.result(s.name));
+    EXPECT_EQ(bodies.size(), kCorpusBodyBytes);
+    EXPECT_EQ(md5Hex(bodies), kCorpusMd5);
 }
 
 } // namespace
